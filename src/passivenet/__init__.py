@@ -7,7 +7,7 @@ ports to keep the closed loop passive under asymmetric time-varying delays
 and nonpassive node dynamics.
 """
 
-from .allocator import AllocationResult, WeightMatrix, allocate, apply_dissipation
+from .allocator import AllocationResult, WeightMatrix, allocate
 from .config import (
     RunConfig,
     bundled_config_names,
@@ -23,10 +23,10 @@ from .lti import (
     ContinuousTF,
     FirstOrderLowpass,
     ImpedanceTriple,
+    NodeState,
     default_osp_grid,
     estimate_osp_index,
     make_hub_admittance,
-    make_node_impedance,
 )
 from .observer import EnergyLedger
 from .output import read_summary, trace_header, write_summary, write_trace
@@ -53,6 +53,7 @@ __all__ = [
     "EnergyLedger",
     "FirstOrderLowpass",
     "ImpedanceTriple",
+    "NodeState",
     "RunConfig",
     "Scenario",
     "Simulation",
@@ -63,14 +64,12 @@ __all__ = [
     "Trace",
     "WeightMatrix",
     "allocate",
-    "apply_dissipation",
     "build",
     "bundled_config_names",
     "bundled_config_path",
     "default_osp_grid",
     "estimate_osp_index",
     "make_hub_admittance",
-    "make_node_impedance",
     "parse_config",
     "parse_config_file",
     "read_summary",

@@ -104,10 +104,3 @@ def allocate(
         gains = np.minimum(gains, alpha_max)
     residual = float(np.dot(gains, s)) + e_obs / dt
     return AllocationResult(gains, True, residual)
-
-
-def apply_dissipation(u, gains, y):
-    """Damping-injected feedback, u_hat = u + alpha * y (elementwise)."""
-    return np.asarray(u, dtype=float) + np.asarray(gains, dtype=float) * np.asarray(
-        y, dtype=float
-    )

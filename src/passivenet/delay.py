@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, SimulationFault
+from .errors import ConfigurationError
 
 
 @dataclass(frozen=True)
@@ -59,8 +59,6 @@ class DelayLine:
         self._n = 0  # index of the next push
 
     def push_and_sample(self, sample: float, t_now: float, d: float) -> float:
-        if not math.isfinite(sample) or not math.isfinite(d):
-            raise SimulationFault("non-finite delay-line input")
         if d < 0.0:
             raise ConfigurationError("requested delay must be nonnegative")
         n = self._n

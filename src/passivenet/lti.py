@@ -19,7 +19,7 @@ import numpy as np
 from scipy.linalg import expm
 from scipy.signal import cont2discrete, tf2ss
 
-from .errors import ConfigurationError, SimulationFault
+from .errors import ConfigurationError
 
 
 @dataclass(frozen=True)
@@ -96,8 +96,6 @@ class HubState:
     * it then travels ``next_travel + hold_carry * F + hold_travel * F'``.
     """
 
-    kind = "hold-equivalent"
-
     def __init__(
         self,
         a: np.ndarray,
@@ -126,12 +124,7 @@ class HubState:
     def velocity(self) -> float:
         return float(self._c @ self._x)
 
-    def position(self) -> float:
-        return self._pos
-
     def step(self, force: float) -> tuple[float, float]:
-        if not math.isfinite(force):
-            raise SimulationFault(f"non-finite hub force: {force!r}")
         v = self.velocity()
         self._pos += self.dt * (v + self._prev_v) / 2.0
         self._prev_v = v
@@ -186,9 +179,9 @@ class NodeState:
     passive.
     """
 
-    kind = "impedance-triple"
-
     def __init__(self, triple: ImpedanceTriple, dt: float, derivative_cutoff: float | None = None):
+        if dt <= 0.0:
+            raise ConfigurationError("sample period must be positive")
         self.triple = triple
         self.dt = dt
         self._prev_v = 0.0
@@ -198,8 +191,6 @@ class NodeState:
         )
 
     def step(self, v: float) -> float:
-        if not math.isfinite(v):
-            raise SimulationFault(f"non-finite node velocity: {v!r}")
         z = self.triple
         self._integral += self.dt * (v + self._prev_v) / 2.0
         dv = (v - self._prev_v) / self.dt
@@ -207,14 +198,6 @@ class NodeState:
             dv = self._dfilter.filter(dv)
         self._prev_v = v
         return z.m * dv + z.b * v + z.k * self._integral
-
-
-def make_node_impedance(
-    triple: ImpedanceTriple, dt: float, derivative_cutoff: float | None = None
-) -> NodeState:
-    if dt <= 0.0:
-        raise ConfigurationError("sample period must be positive")
-    return NodeState(triple, dt, derivative_cutoff)
 
 
 def default_osp_grid() -> np.ndarray:

@@ -36,6 +36,10 @@ LANDING_MARGIN = 1e-9
 
 
 class EnergyLedger:
+    """Every port sees the one hub velocity y, so port i's injection is
+    dt*y^2*alpha_i; the ledger keeps these D_i, which sum to the injected D.
+    """
+
     def __init__(self, dt: float, xi: float, num_ports: int):
         if dt <= 0.0:
             raise SimulationFault("sample period must be positive")
@@ -47,52 +51,37 @@ class EnergyLedger:
         self.xi = xi
         self.num_ports = num_ports
         self.raw_energy = 0.0         # E, reporting only
-        self.injected_energy = 0.0    # D, reporting only
+        self.dissipated = np.zeros(num_ports)  # D_i, reporting only
         self.observable_energy = 0.0  # E_obs at the last ingest
         self.controlled_energy = 0.0  # E_hat
         self.step_count = 0
+        self._y = 0.0
 
-    def _as_ports(self, values, name: str) -> np.ndarray:
-        arr = np.asarray(values, dtype=float)
-        if arr.ndim == 0:
-            arr = np.full(self.num_ports, float(arr))
-        if arr.shape != (self.num_ports,):
-            raise SimulationFault(
-                f"{name} has shape {arr.shape}, expected ({self.num_ports},)"
-            )
-        if not np.isfinite(arr).all():
-            raise SimulationFault(f"non-finite {name}: {arr!r}")
-        return arr
+    @property
+    def injected_energy(self) -> float:
+        """D, the sum of the per-port dissipations D_i."""
+        return float(self.dissipated.sum())
 
-    def ingest_step(self, y, u) -> float:
+    def ingest_step(self, y: float, u) -> float:
         """Accumulate one step of raw energy and return the observable energy.
 
-        ``y`` is the per-port hub output (the broadcast hub velocity on every
-        port, so a scalar is accepted), ``u`` the per-port raw feedback.  The
-        hub credit xi*y^2 enters once, not per port; injections recorded so
-        far (through step n-1) are included via E_hat[n-1].
+        ``y`` is the hub velocity, ``u`` the per-port raw feedback.  The hub
+        credit xi*y^2 enters once, not per port; injections recorded so far
+        (through step n-1) are included via E_hat[n-1].
         """
-        y = self._as_ports(y, "port output vector")
-        u = self._as_ports(u, "port feedback vector")
-        hub_output = float(y[0])
-        increment = self.dt * (
-            self.xi * hub_output * hub_output + float(np.dot(u, y))
-        )
+        increment = self.dt * y * (self.xi * y + float(np.sum(u)))
+        self._y = y
         self.raw_energy += increment
         self.observable_energy = self.controlled_energy + increment
         self.controlled_energy = self.observable_energy
         self.step_count += 1
         return self.observable_energy
 
-    def record_injection(self, gains, squared_outputs) -> None:
-        """Add this step's stabilizer dissipation dt * A.S to E_hat (and to D)."""
-        gains = self._as_ports(gains, "gain vector")
-        squared = self._as_ports(squared_outputs, "squared-output vector")
-        if squared.min() < 0.0:
-            raise SimulationFault("squared-output vector has a negative entry")
-        injection = self.dt * float(np.dot(gains, squared))
-        self.injected_energy += injection
-        self.controlled_energy = self.observable_energy + injection
+    def record_injection(self, gains) -> None:
+        """Add this step's dissipation dt*y^2*alpha_i to each D_i and to E_hat."""
+        injected = (self.dt * self._y * self._y) * np.asarray(gains, dtype=float)
+        self.dissipated += injected
+        self.controlled_energy = self.observable_energy + float(injected.sum())
 
 
 class HoldLedger:

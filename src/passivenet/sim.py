@@ -6,15 +6,17 @@ Per-step pipeline (one sample period, no feedthrough anywhere):
 2. peek the hub velocity y[n]
 3. forward-delay y to each node, step the node impedance, backward-delay the
    node force back to the hub port, giving the raw feedback u_i[n]
-4. observer ingest -> observable energy E_obs[n]
+4. observer ingest of y and the raw feedback -> observable energy E_obs[n]
 5. hold ledger -> the net network force the exact held-force energy needs,
    one sample ahead (see :class:`passivenet.observer.HoldLedger`)
 6. allocator -> damping gains A[n] for the larger of the two requirements
 7. u_hat_i = u_i + alpha_i * y
-8. record the injected dissipation in the ledger
-9. book the exact work of the held net force sum(u_hat) in the hold ledger
-   and advance the hub with the net force u_ext - sum(u_hat)
-10. emit the step record
+8. the step's one finiteness check, on E_obs and the hub force (inputs are
+   validated where they enter, so only overflow in the loop can trip it)
+9. record the injected dissipation in the ledger
+10. book the exact work of the held net force sum(u_hat) in the hold ledger
+    and advance the hub with the net force u_ext - sum(u_hat)
+11. emit the step record
 """
 
 from __future__ import annotations
@@ -24,16 +26,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .allocator import WeightMatrix, allocate, apply_dissipation
+from .allocator import WeightMatrix, allocate
 from .delay import DelayLine, DelayProfile
 from .errors import ConfigurationError, SimulationFault
 from .lti import (
     ContinuousTF,
     FirstOrderLowpass,
     ImpedanceTriple,
+    NodeState,
     estimate_osp_index,
     make_hub_admittance,
-    make_node_impedance,
 )
 from .observer import EnergyLedger, HoldLedger
 
@@ -182,8 +184,7 @@ class Simulation:
         )
         self.hub = make_hub_admittance(topology.hub, dt)
         self.nodes = [
-            make_node_impedance(z, dt, topology.inertia_filter_cutoff)
-            for z in topology.nodes
+            NodeState(z, dt, topology.inertia_filter_cutoff) for z in topology.nodes
         ]
         self.leg_profiles = [p.halved() for p in topology.delays]
         self.forward = [DelayLine(p.max_delay, dt) for p in self.leg_profiles]
@@ -196,7 +197,6 @@ class Simulation:
         self.hold_ledger = HoldLedger(
             dt, self.xi if topology.xi is None else _hold_credit(topology.hub), self.hub
         )
-        self._dissipated = np.zeros(m)
         self._next_input = scenario.input_at(0)
         self.n = 0
 
@@ -226,9 +226,7 @@ class Simulation:
             f = self.nodes[i].step(v)
             u[i] = self.backward[i].push_and_sample(f, t, d_leg)
 
-        y_vec = np.full(m, y)
-        e_obs = self.ledger.ingest_step(y_vec, u)
-        squared = y_vec * y_vec
+        e_obs = self.ledger.ingest_step(y, u)
         preview = self.hub.hold_preview()
         if topo.stabilizer_enabled:
             target = e_obs
@@ -242,22 +240,25 @@ class Simulation:
                     target = -(held - raw) * y * dt
             result = allocate(
                 target,
-                squared,
+                np.full(m, y * y),
                 topo.weights,
                 dt,
                 epsilon_singular=topo.epsilon_singular,
                 alpha_max=topo.alpha_max,
             )
             gains = result.gains
-            u_hat = apply_dissipation(u, gains, y_vec)
+            u_hat = u + gains * y
         else:
             gains = np.zeros(m)
-            u_hat = u.copy()  # bit-exact pass-through, no -0.0 flips in the trace
-        self.ledger.record_injection(gains, squared)
-        self._dissipated += dt * gains * squared
+            u_hat = u  # bit-exact pass-through, no -0.0 flips in the trace
 
         net = float(u_hat.sum())
         force = u_ext - net
+        if not (math.isfinite(e_obs) and math.isfinite(force)):
+            raise SimulationFault(
+                f"non-finite step at n={n}: E_obs={e_obs!r}, hub force={force!r}"
+            )
+        self.ledger.record_injection(gains)
         self.hold_ledger.record(preview[0] + self.hub.hold_travel * force, net)
         _, pos = self.hub.step(force)
         self.n = n + 1
@@ -270,7 +271,7 @@ class Simulation:
             u=tuple(u.tolist()),
             u_hat=tuple(u_hat.tolist()),
             alpha=tuple(gains.tolist()),
-            dissipated=tuple(self._dissipated.tolist()),
+            dissipated=tuple(self.ledger.dissipated.tolist()),
             e_obs=e_obs,
             e_hat=self.ledger.controlled_energy,
         )
@@ -280,7 +281,10 @@ class Simulation:
         velocity_limit: float = DEFAULT_VELOCITY_LIMIT,
         energy_limit: float = DEFAULT_ENERGY_LIMIT,
     ) -> tuple[Trace, SummaryMetrics]:
-        """Step to the configured duration or until a divergence threshold trips."""
+        """Step to the configured duration or until a divergence threshold trips.
+
+        A step that faults ends the run unrecorded, so every recorded cell is finite.
+        """
         trace = Trace(dt=self.scenario.dt, xi=self.xi, num_nodes=self.num_nodes)
         diverged = False
         while self.n < self.scenario.num_steps:
@@ -290,12 +294,7 @@ class Simulation:
                 diverged = True
                 break
             trace.records.append(rec)
-            if (
-                not math.isfinite(rec.y)
-                or not math.isfinite(rec.e_obs)
-                or abs(rec.y) > velocity_limit
-                or rec.e_obs < -energy_limit
-            ):
+            if abs(rec.y) > velocity_limit or rec.e_obs < -energy_limit:
                 diverged = True
                 break
         return trace, summarize(trace, diverged)

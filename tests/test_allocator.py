@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import passivenet as pn
-from passivenet.allocator import allocate, apply_dissipation
+from passivenet.allocator import allocate
 
 
 def test_surplus_branch_returns_zero():
@@ -58,15 +58,6 @@ def test_nonfinite_inputs_fault():
         allocate(-1.0, np.array([float("inf")]), q, 0.001)
     with pytest.raises(pn.SimulationFault):
         allocate(-1.0, np.array([-1.0]), q, 0.001)
-
-
-def test_apply_dissipation_examples():
-    assert apply_dissipation(-20.0, 5.0, 1.0) == -15.0
-    u = np.array([3.0, -2.0])
-    np.testing.assert_array_equal(apply_dissipation(u, np.zeros(2), np.ones(2)), u)
-    np.testing.assert_array_equal(
-        apply_dissipation(u, np.array([9.0, 9.0]), np.zeros(2)), u
-    )
 
 
 def _random_instance(rng):

@@ -95,9 +95,3 @@ def test_negative_requested_delay_faults():
     line = pn.DelayLine(0.05, 0.001)
     with pytest.raises(pn.ConfigurationError):
         line.push_and_sample(1.0, 0.0, -0.001)
-
-
-def test_nonfinite_sample_faults():
-    line = pn.DelayLine(0.05, 0.001)
-    with pytest.raises(pn.SimulationFault):
-        line.push_and_sample(float("inf"), 0.0, 0.01)

@@ -12,44 +12,44 @@ from conftest import TABLE1_HUB
 def test_all_zero_signals():
     ledger = pn.EnergyLedger(0.001, 15.0, 3)
     for _ in range(100):
-        assert ledger.ingest_step(np.zeros(3), np.zeros(3)) == 0.0
-        ledger.record_injection(np.zeros(3), np.zeros(3))
+        assert ledger.ingest_step(0.0, np.zeros(3)) == 0.0
+        ledger.record_injection(np.zeros(3))
     assert ledger.controlled_energy == 0.0
     assert ledger.step_count == 100
 
 
 def test_single_port_worked_example():
     ledger = pn.EnergyLedger(0.01, 15.0, 1)
-    e_obs = ledger.ingest_step([1.0], [-20.0])
+    e_obs = ledger.ingest_step(1.0, [-20.0])
     assert e_obs == pytest.approx(-0.05, rel=1e-12)
 
 
 def test_cancellation_example():
     ledger = pn.EnergyLedger(0.01, 0.0, 3)
-    e_obs = ledger.ingest_step(2.0, [1.0, -1.0, 0.0])  # scalar output broadcasts
+    e_obs = ledger.ingest_step(2.0, [1.0, -1.0, 0.0])
     assert e_obs == pytest.approx(0.0, abs=1e-15)
 
 
 def test_injection_balances_deficit():
     ledger = pn.EnergyLedger(0.01, 15.0, 1)
-    e_obs = ledger.ingest_step([1.0], [-20.0])
+    e_obs = ledger.ingest_step(1.0, [-20.0])
     assert e_obs == pytest.approx(-0.05, rel=1e-12)
-    ledger.record_injection([5.0], [1.0])  # A'S = 5, dt*A'S = 0.05
+    ledger.record_injection([5.0])  # A'S = 5 with S = y^2 = 1, dt*A'S = 0.05
     assert ledger.controlled_energy == pytest.approx(0.0, abs=1e-15)
 
 
 def test_zero_injection_keeps_e_hat_at_e_obs():
     ledger = pn.EnergyLedger(0.01, 2.0, 2)
-    e_obs = ledger.ingest_step([1.0, 1.0], [-3.0, 1.0])
-    ledger.record_injection([0.0, 0.0], [1.0, 1.0])
+    e_obs = ledger.ingest_step(1.0, [-3.0, 1.0])
+    ledger.record_injection([0.0, 0.0])
     assert ledger.controlled_energy == e_obs
 
 
 def test_injections_accumulate():
     ledger = pn.EnergyLedger(0.01, 0.0, 1)
     for _ in range(2):
-        ledger.ingest_step([0.0], [0.0])
-        ledger.record_injection([1.0], [1.0])
+        ledger.ingest_step(1.0, [0.0])
+        ledger.record_injection([1.0])
     assert ledger.injected_energy == pytest.approx(0.02, rel=1e-12)
 
 
@@ -61,68 +61,44 @@ def test_incremental_consistency():
     prev = 0.0
     for _ in range(2000):
         y = float(rng.normal())
-        y_vec = np.full(m, y)
         u = rng.normal(size=m)
-        ledger.ingest_step(y_vec, u)
+        ledger.ingest_step(y, u)
         alpha = np.abs(rng.normal(size=m))
-        s = y_vec * y_vec
-        ledger.record_injection(alpha, s)
-        u_hat = pn.apply_dissipation(u, alpha, y_vec)
-        inc = dt * (xi * y * y + float(np.dot(u_hat, y_vec)))
+        ledger.record_injection(alpha)
+        u_hat = u + alpha * y
+        inc = dt * (xi * y * y + float(np.dot(u_hat, np.full(m, y))))
         assert ledger.controlled_energy - prev == pytest.approx(inc, abs=1e-12)
         prev = ledger.controlled_energy
 
 
 def test_observable_energy_excludes_current_injection():
     ledger = pn.EnergyLedger(0.01, 0.0, 1)
-    ledger.ingest_step([1.0], [-1.0])
-    ledger.record_injection([1.0], [1.0])
+    ledger.ingest_step(1.0, [-1.0])
+    ledger.record_injection([1.0])
     d_after_first = ledger.injected_energy
-    e_obs = ledger.ingest_step([1.0], [-1.0])
+    e_obs = ledger.ingest_step(1.0, [-1.0])
     # E_obs carries injections through the previous step only
     assert e_obs == pytest.approx(ledger.raw_energy + d_after_first, rel=1e-12)
-
-
-def test_length_mismatch_faults():
-    ledger = pn.EnergyLedger(0.001, 1.0, 3)
-    with pytest.raises(pn.SimulationFault):
-        ledger.ingest_step([1.0, 2.0], [0.0, 0.0, 0.0])
-    with pytest.raises(pn.SimulationFault):
-        ledger.ingest_step([1.0, 1.0, 1.0], [0.0])
-
-
-def test_nonfinite_faults():
-    ledger = pn.EnergyLedger(0.001, 1.0, 1)
-    with pytest.raises(pn.SimulationFault):
-        ledger.ingest_step([float("nan")], [0.0])
-    with pytest.raises(pn.SimulationFault):
-        ledger.ingest_step([0.0], [float("inf")])
-
-
-def test_negative_squared_output_faults():
-    ledger = pn.EnergyLedger(0.001, 1.0, 1)
-    ledger.ingest_step([1.0], [1.0])
-    with pytest.raises(pn.SimulationFault):
-        ledger.record_injection([1.0], [-1.0])
 
 
 def test_net_ledger_survives_large_opposing_energies():
     # Raw and injected energies grow to about -/+1e8 J while E_hat stays near
     # zero; E_hat must still equal the exact sum of the per-step increments.
+    # Each increment is priced as the ledger prices it, dt*y*(xi*y + sum(u))
+    # and dt*y^2*alpha_i: other roundings of the same increment (sum(u_i*y),
+    # say) drift about 2e-9 apart over 20 000 terms of 1e5 J.
     rng = np.random.default_rng(5)
     dt, xi, m = 0.001, 12.0, 3
     ledger = pn.EnergyLedger(dt, xi, m)
     increments = []
     for n in range(1, 10_001):
         y = float(rng.uniform(50.0, 150.0)) * (1.0 if n % 2 else -1.0)
-        y_vec = np.full(m, y)
         u = -y * rng.uniform(1e3, 2e3, size=m)
-        e_obs = ledger.ingest_step(y_vec, u)
-        increments.append(dt * (xi * y * y + float(np.dot(u, y_vec))))
-        s = y_vec * y_vec
-        gains = np.full(m, -e_obs / (dt * float(np.sum(s)))) * rng.uniform(1.0, 1.001)
-        ledger.record_injection(gains, s)
-        increments.append(dt * float(np.dot(gains, s)))
+        e_obs = ledger.ingest_step(y, u)
+        increments.append(dt * y * (xi * y + float(np.sum(u))))
+        gains = np.full(m, -e_obs / (dt * m * y * y)) * rng.uniform(1.0, 1.001)
+        ledger.record_injection(gains)
+        increments.extend(((dt * y * y) * gains).tolist())
         if n % 1000 == 0:
             assert abs(ledger.controlled_energy - math.fsum(increments)) <= 1e-9
     assert ledger.raw_energy < -1e8 and ledger.injected_energy > 1e8

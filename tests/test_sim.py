@@ -161,3 +161,21 @@ def test_dual_sine_realization():
 def test_external_stream_pads_with_zeros():
     scen = pn.Scenario(kind="external", duration=0.01, dt=0.001, samples=(1.0, 2.0))
     assert [scen.input_at(n) for n in range(4)] == [1.0, 2.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("stabilizer", [True, False])
+@pytest.mark.parametrize("amplitude", [1e100, 1e150, 1e200, 1e300])
+def test_huge_external_samples_stop_with_finite_records(stabilizer, amplitude):
+    # Inputs near the float range must stop the run, not crash it or leave a
+    # non-finite number in the trace.
+    topo = table1_topology(stabilizer_enabled=stabilizer)
+    scen = pn.Scenario(
+        kind="external", duration=0.05, dt=0.001, samples=(amplitude, -amplitude) * 3
+    )
+    trace, metrics = pn.build(topo, scen).run()
+    assert metrics.diverged
+    assert math.isfinite(metrics.min_e_hat)
+    for rec in trace.records:
+        cells = (rec.t, rec.u_ext, rec.y, rec.x, rec.e_obs, rec.e_hat)
+        cells += rec.u + rec.u_hat + rec.alpha + rec.dissipated
+        assert all(math.isfinite(c) for c in cells)
