@@ -66,7 +66,9 @@ class RunConfig:
         return replace(self, topology=topo, scenario=scen)
 
 
-def _reject_unknown(section: dict, allowed: set, where: str) -> None:
+def _reject_unknown(section, allowed: set, where: str) -> None:
+    if not isinstance(section, dict):
+        raise ConfigurationError(f"{where} must be an object")
     unknown = set(section) - allowed
     if unknown:
         raise ConfigurationError(
@@ -80,19 +82,40 @@ def _require(section: dict, key: str, where: str):
     return section[key]
 
 
+def _number(value, where: str) -> float:
+    """The one reader of numeric fields: a JSON number (not a boolean) in float range."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise ConfigurationError(f"{where} must be a number, got {value!r:.40}")
+
+
 def _num_list(value, where: str) -> tuple[float, ...]:
-    if not isinstance(value, list) or not all(isinstance(v, (int, float)) for v in value):
+    if not isinstance(value, list):
         raise ConfigurationError(f"{where} must be an array of numbers")
-    return tuple(float(v) for v in value)
+    return tuple(_number(v, f"{where}[{i}]") for i, v in enumerate(value))
 
 
 def _opt_float(section: dict, key: str, where: str, default):
     value = section.get(key, default)
-    if value is None:
-        return None
-    if not isinstance(value, (int, float)):
-        raise ConfigurationError(f"{where}.{key} must be a number or null")
-    return float(value)
+    return None if value is None else _number(value, f"{where}.{key}")
+
+
+def _records(topo_sec: dict, key: str, fields: set) -> list[dict]:
+    """The array topology.<key> of objects whose fields are all required numbers."""
+    items = _require(topo_sec, key, "section 'topology'")
+    if not isinstance(items, list):
+        raise ConfigurationError(f"topology.{key} must be an array")
+    records = []
+    for i, item in enumerate(items):
+        where = f"topology.{key}[{i}]"
+        _reject_unknown(item, fields, where)
+        records.append(
+            {f: _number(_require(item, f, where), f"{where}.{f}") for f in sorted(fields)}
+        )
+    return records
 
 
 def parse_config(text: str) -> RunConfig:
@@ -102,9 +125,7 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigurationError(
             f"config parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
-    if not isinstance(doc, dict):
-        raise ConfigurationError("config document must be an object with named sections")
-    _reject_unknown(doc, _TOP_KEYS, "the top level")
+    _reject_unknown(doc, _TOP_KEYS, "the config document")
 
     topo_sec = _require(doc, "topology", "the config")
     _reject_unknown(topo_sec, _TOPOLOGY_KEYS, "section 'topology'")
@@ -114,26 +135,8 @@ def parse_config(text: str) -> RunConfig:
         num=_num_list(_require(hub_sec, "num", "topology.hub"), "topology.hub.num"),
         den=_num_list(_require(hub_sec, "den", "topology.hub"), "topology.hub.den"),
     )
-    nodes = []
-    for i, node_sec in enumerate(_require(topo_sec, "nodes", "section 'topology'")):
-        _reject_unknown(node_sec, _NODE_KEYS, f"topology.nodes[{i}]")
-        nodes.append(
-            ImpedanceTriple(
-                m=float(_require(node_sec, "m", f"topology.nodes[{i}]")),
-                b=float(_require(node_sec, "b", f"topology.nodes[{i}]")),
-                k=float(_require(node_sec, "k", f"topology.nodes[{i}]")),
-            )
-        )
-    delays = []
-    for i, delay_sec in enumerate(_require(topo_sec, "delays", "section 'topology'")):
-        _reject_unknown(delay_sec, _DELAY_KEYS, f"topology.delays[{i}]")
-        delays.append(
-            DelayProfile(
-                offset=float(_require(delay_sec, "offset", f"topology.delays[{i}]")),
-                amplitude=float(_require(delay_sec, "amplitude", f"topology.delays[{i}]")),
-                frequency=float(_require(delay_sec, "frequency", f"topology.delays[{i}]")),
-            )
-        )
+    nodes = [ImpedanceTriple(**r) for r in _records(topo_sec, "nodes", _NODE_KEYS)]
+    delays = [DelayProfile(**r) for r in _records(topo_sec, "delays", _DELAY_KEYS)]
 
     control_sec = doc.get("control", {})
     _reject_unknown(control_sec, _CONTROL_KEYS, "section 'control'")
@@ -153,7 +156,9 @@ def parse_config(text: str) -> RunConfig:
         weights=weights,
         stabilizer_enabled=stabilizer,
         xi=_opt_float(topo_sec, "xi", "topology", None),
-        epsilon_singular=_opt_float(control_sec, "epsilon_singular", "control", 1e-12),
+        epsilon_singular=_number(
+            control_sec.get("epsilon_singular", 1e-12), "control.epsilon_singular"
+        ),
         alpha_max=_opt_float(control_sec, "alpha_max", "control", None),
         inertia_filter_cutoff=_opt_float(topo_sec, "inertia_filter_cutoff", "topology", 20.0),
         command_filter_cutoff=_opt_float(topo_sec, "command_filter_cutoff", "topology", None),
@@ -164,9 +169,11 @@ def parse_config(text: str) -> RunConfig:
     samples = scen_sec.get("samples")
     scenario = Scenario(
         kind=_require(scen_sec, "kind", "section 'scenario'"),
-        duration=float(_require(scen_sec, "duration", "section 'scenario'")),
-        dt=float(_require(scen_sec, "dt", "section 'scenario'")),
-        amplitude=float(scen_sec.get("amplitude", 1.0)),
+        duration=_number(
+            _require(scen_sec, "duration", "section 'scenario'"), "scenario.duration"
+        ),
+        dt=_number(_require(scen_sec, "dt", "section 'scenario'"), "scenario.dt"),
+        amplitude=_number(scen_sec.get("amplitude", 1.0), "scenario.amplitude"),
         samples=None if samples is None else _num_list(samples, "scenario.samples"),
     )
 

@@ -1,8 +1,11 @@
-"""Built-in invariant self-test suite (the CLI's --seed-check).
+"""The invariant suite, run by the CLI's --seed-check and by the tests.
 
-Each check is deterministic (fixed RNG seed) and fast; together they cover
-the allocator optimality conditions, the ledger bookkeeping identity, the
-delay line, the hub's zero feedthrough, node linearity, and the passive
+Each check is written once, here. It builds its own RNG from a fixed seed,
+so its instances do not depend on which checks ran before it, and raises
+:class:`CheckFailed` at the first violation. Together the checks cover the
+allocator's constraint, nonnegativity, weight-scaling invariance and 1/q
+share law, the ledger's bookkeeping identity, the delay line, the hub's
+zero feedthrough, the linearity of the hub and the nodes, and the passive
 zero-delay baseline.
 """
 
@@ -16,157 +19,195 @@ from .lti import ContinuousTF, ImpedanceTriple, NodeState, make_hub_admittance
 from .observer import EnergyLedger
 from .sim import Scenario, Topology, build
 
+HUB = ContinuousTF((1.0, 0.0), (0.5, 15.0, 1.0))  # the bundled configs' hub
 
-def _check_allocator_constraint(rng) -> bool:
-    for _ in range(200):
-        m = int(rng.integers(1, 7))
-        e_obs = -float(10.0 ** rng.uniform(-3, 3))
-        s = rng.uniform(0.0, 10.0, m)
-        q = WeightMatrix(tuple(10.0 ** rng.uniform(-4, 4, m)))
-        dt = float(10.0 ** rng.uniform(-4, 0))
+
+class CheckFailed(AssertionError):
+    """An invariant check found a violation."""
+
+
+def _expect(ok, message: str) -> None:
+    if not ok:
+        raise CheckFailed(message)
+
+
+def random_allocation(rng):
+    """A random deficit instance (E_obs, S, Q, dt) over many decades."""
+    m = int(rng.integers(1, 7))
+    e_obs = -float(10.0 ** rng.uniform(-3.0, 3.0))
+    s = rng.uniform(0.0, 10.0, m)
+    q = WeightMatrix(tuple(10.0 ** rng.uniform(-4.0, 4.0, m)))
+    dt = float(10.0 ** rng.uniform(-4.0, 0.0))
+    return e_obs, s, q, dt
+
+
+def passive_topology() -> Topology:
+    """The bundled hub with three passive nodes and no delay."""
+    return Topology(
+        hub=HUB,
+        nodes=(
+            ImpedanceTriple(10.0, 5.0, 400.0),
+            ImpedanceTriple(10.0, 5.0, 400.0),
+            ImpedanceTriple(20.0, 10.0, 800.0),
+        ),
+        delays=(DelayProfile(0.0, 0.0, 0.0),) * 3,
+        weights=WeightMatrix((1.0, 1.0, 1.0)),
+    )
+
+
+def check_allocator_constraint() -> None:
+    rng = np.random.default_rng(31)
+    fired = 0
+    for _ in range(2000):
+        e_obs, s, q, dt = random_allocation(rng)
         res = allocate(e_obs, s, q, dt)
         if not res.fired:
-            if np.any(s > 0.0):
-                return False
+            _expect(np.all(s == 0.0), f"deferred with S = {s!r}")
             continue
-        if np.any(res.gains < 0.0):
-            return False
-        if abs(res.constraint_residual) > 1e-9 * abs(e_obs / dt):
-            return False
-    return True
+        fired += 1
+        _expect(np.all(res.gains >= 0.0), f"negative gain in {res.gains!r}")
+        _expect(
+            abs(res.constraint_residual) <= 1e-9 * abs(e_obs / dt),
+            f"residual {res.constraint_residual!r} for E_obs/dt = {e_obs / dt!r}",
+        )
+    _expect(fired > 1900, f"fired on only {fired} of 2000 instances")
 
 
-def _check_allocator_scaling(rng) -> bool:
-    for _ in range(100):
+def check_allocator_scaling() -> None:
+    rng = np.random.default_rng(32)
+    for _ in range(500):
         m = int(rng.integers(1, 7))
-        e_obs = -float(10.0 ** rng.uniform(-2, 2))
+        e_obs = -float(10.0 ** rng.uniform(-2.0, 2.0))
         s = rng.uniform(0.1, 10.0, m)
-        qd = 10.0 ** rng.uniform(-3, 3, m)
-        c = float(10.0 ** rng.uniform(-3, 3))
+        qd = 10.0 ** rng.uniform(-3.0, 3.0, m)
+        c = float(10.0 ** rng.uniform(-3.0, 3.0))
         a1 = allocate(e_obs, s, WeightMatrix(tuple(qd)), 1e-3).gains
         a2 = allocate(e_obs, s, WeightMatrix(tuple(c * qd)), 1e-3).gains
-        denom = np.maximum(np.abs(a1), 1e-300)
-        if np.max(np.abs(a1 - a2) / denom) > 1e-12:
-            return False
-    return True
+        _expect(
+            np.all(np.abs(a2 - a1) <= 1e-12 * np.abs(a1)),
+            f"Q scaled by {c!r} moved the gains from {a1!r} to {a2!r}",
+        )
 
 
-def _check_share_law(rng) -> bool:
-    for _ in range(100):
+def check_share_law() -> None:
+    rng = np.random.default_rng(35)
+    for _ in range(500):
         m = int(rng.integers(2, 7))
-        s_val = float(rng.uniform(0.1, 10.0))
-        qd = 10.0 ** rng.uniform(-3, 3, m)
-        res = allocate(-1.0, np.full(m, s_val), WeightMatrix(tuple(qd)), 1e-2)
+        s_val = float(rng.uniform(0.01, 10.0))
+        qd = 10.0 ** rng.uniform(-3.0, 3.0, m)
+        res = allocate(-2.0, np.full(m, s_val), WeightMatrix(tuple(qd)), 1e-2)
+        _expect(res.fired, f"deferred with S = {s_val!r}")
         prods = res.gains * qd
-        if np.max(np.abs(prods - prods[0])) > 1e-12 * max(1.0, abs(prods[0])):
-            return False
-    return True
+        _expect(
+            np.all(np.abs(prods - prods[0]) <= 1e-12 * abs(prods[0])),
+            f"alpha_i * q_i not constant: {prods!r}",
+        )
 
 
-def _check_ledger_identity(rng) -> bool:
-    m = 3
-    dt, xi = 1e-3, 7.5
+def check_ledger_identity() -> None:
+    # each increment equals dt*(xi*y^2 + u_hat . y) with u_hat = u + alpha*y
+    rng = np.random.default_rng(21)
+    dt, xi, m = 1e-3, 7.5, 4
     ledger = EnergyLedger(dt, xi, m)
     prev = 0.0
-    for _ in range(500):
+    for n in range(2000):
         y = float(rng.normal())
         u = rng.normal(size=m)
         ledger.ingest_step(y, u)
         gains = np.abs(rng.normal(size=m))
         ledger.record_injection(gains)
         u_hat = u + gains * y
-        expected = dt * (xi * y * y + float(np.sum(u_hat * y)))
-        if abs((ledger.controlled_energy - prev) - expected) > 1e-12 * max(
-            1.0, abs(expected)
-        ):
-            return False
+        expected = dt * (xi * y * y + float(np.dot(u_hat, np.full(m, y))))
+        got = ledger.controlled_energy - prev
+        _expect(abs(got - expected) <= 1e-12, f"step {n}: increment {got!r} != {expected!r}")
         prev = ledger.controlled_energy
-    return True
 
 
-def _check_delay_shift(rng) -> bool:
+def check_delay_shift() -> None:
+    rng = np.random.default_rng(11)
     dt = 0.01
     line = DelayLine(0.1, dt)
-    samples = rng.normal(size=300)
+    samples = rng.normal(size=400)
     for n, sample in enumerate(samples):
         out = line.push_and_sample(float(sample), n * dt, 0.1)
         expected = float(samples[n - 10]) if n >= 10 else 0.0
-        if out != expected:
-            return False
-    return True
+        _expect(out == expected, f"sample {n}: {out!r} != {expected!r}")
 
 
-def _check_hub_feedthrough(rng) -> bool:
-    # Two hubs share history up to step n, receive different forces at n:
+def check_hub_feedthrough() -> None:
+    # Two hubs share a history, then receive different forces at step n:
     # the velocities returned at n must be identical (no feedthrough).
-    tf = ContinuousTF((1.0, 0.0), (0.5, 15.0, 1.0))
+    rng = np.random.default_rng(7)
     for _ in range(20):
-        hub_a = make_hub_admittance(tf, 1e-3)
-        hub_b = make_hub_admittance(tf, 1e-3)
-        for _ in range(int(rng.integers(1, 50))):
+        hub_a = make_hub_admittance(HUB, 1e-3)
+        hub_b = make_hub_admittance(HUB, 1e-3)
+        for _ in range(int(rng.integers(1, 100))):
             f = float(rng.normal())
             hub_a.step(f)
             hub_b.step(f)
         va, _ = hub_a.step(float(rng.normal()))
-        vb, _ = hub_b.step(float(rng.normal()) + 1e6)
-        if va != vb:
-            return False
-    return True
+        vb, _ = hub_b.step(float(rng.normal()) + 1e9)
+        _expect(va == vb, f"velocity {va!r} != {vb!r} after different forces")
 
 
-def _check_node_linearity(rng) -> bool:
-    dt = 1e-3
+def _output(result) -> float:
+    return result[0] if isinstance(result, tuple) else result
+
+
+def check_linearity() -> None:
+    rng = np.random.default_rng(5)
+    u1 = rng.normal(size=400)
+    u2 = rng.normal(size=400)
+    a, b = 1.7, -0.6
     z = ImpedanceTriple(10.0, 5.0, 400.0)
-    u1 = rng.normal(size=200)
-    u2 = rng.normal(size=200)
-    a, b = 2.5, -1.25
-    n1 = NodeState(z, dt)
-    n2 = NodeState(z, dt)
-    n3 = NodeState(z, dt)
-    for x1, x2 in zip(u1, u2):
-        f1 = n1.step(float(x1))
-        f2 = n2.step(float(x2))
-        f3 = n3.step(a * float(x1) + b * float(x2))
-        if abs(f3 - (a * f1 + b * f2)) > 1e-9 * max(1.0, abs(f3)):
-            return False
-    return True
+    for name, make in (
+        ("hub", lambda: make_hub_admittance(HUB, 1e-3)),
+        ("node", lambda: NodeState(z, 1e-3)),
+        ("filtered node", lambda: NodeState(z, 1e-3, derivative_cutoff=20.0)),
+    ):
+        s1, s2, s3 = make(), make(), make()
+        for x1, x2 in zip(u1, u2):
+            y1 = _output(s1.step(float(x1)))
+            y2 = _output(s2.step(float(x2)))
+            y3 = _output(s3.step(float(a * x1 + b * x2)))
+            want = a * y1 + b * y2
+            _expect(
+                abs(y3 - want) <= max(1e-9 * abs(want), 1e-12),
+                f"{name}: response {y3!r} to the combined input != {want!r}",
+            )
 
 
-def _check_passive_baseline(_rng) -> bool:
-    topo = Topology(
-        hub=ContinuousTF((1.0, 0.0), (0.5, 15.0, 1.0)),
-        nodes=(
-            ImpedanceTriple(10.0, 5.0, 400.0),
-            ImpedanceTriple(20.0, 10.0, 800.0),
-        ),
-        delays=(DelayProfile(0.0, 0.0, 0.0), DelayProfile(0.0, 0.0, 0.0)),
-        weights=WeightMatrix((1.0, 1.0)),
-    )
+def check_passive_baseline() -> None:
     scen = Scenario(kind="dual-sine", duration=2.0, dt=1e-3, amplitude=20.0)
-    trace, metrics = build(topo, scen).run()
-    if metrics.diverged or metrics.total_injected != 0.0:
-        return False
-    return all(r.e_obs >= 0.0 for r in trace.records)
+    trace, metrics = build(passive_topology(), scen).run()
+    _expect(not metrics.diverged, "diverged")
+    _expect(metrics.total_injected == 0.0, f"injected {metrics.total_injected!r} J")
+    _expect(all(r.e_obs >= 0.0 for r in trace.records), "E_obs went negative")
+    _expect(all(a == 0.0 for r in trace.records for a in r.alpha), "a gain fired")
 
 
 CHECKS = [
-    ("allocator constraint / nonnegativity / tolerance", _check_allocator_constraint),
-    ("allocator weight-scaling invariance", _check_allocator_scaling),
-    ("equal-output share law", _check_share_law),
-    ("energy ledger incremental identity", _check_ledger_identity),
-    ("delay line constant-delay shift equivalence", _check_delay_shift),
-    ("hub zero feedthrough", _check_hub_feedthrough),
-    ("node impedance linearity", _check_node_linearity),
-    ("passive zero-delay baseline never fires", _check_passive_baseline),
+    ("allocator constraint / nonnegativity / tolerance", check_allocator_constraint),
+    ("allocator weight-scaling invariance", check_allocator_scaling),
+    ("equal-output share law", check_share_law),
+    ("energy ledger incremental identity", check_ledger_identity),
+    ("delay line constant-delay shift equivalence", check_delay_shift),
+    ("hub zero feedthrough", check_hub_feedthrough),
+    ("node impedance linearity", check_linearity),
+    ("passive zero-delay baseline never fires", check_passive_baseline),
 ]
 
 
 def run_self_checks(verbose: bool = True) -> bool:
-    rng = np.random.default_rng(20240614)
+    """Run every check in CHECKS; print one line per check if verbose."""
     all_ok = True
-    for name, fn in CHECKS:
-        ok = fn(rng)
-        all_ok &= ok
+    for name, check in CHECKS:
+        try:
+            check()
+            status = "ok"
+        except CheckFailed as exc:
+            all_ok = False
+            status = f"FAIL ({exc})"
         if verbose:
-            print(f"[seed-check] {name}: {'ok' if ok else 'FAIL'}")
+            print(f"[seed-check] {name}: {status}")
     return all_ok

@@ -83,8 +83,11 @@ class Topology:
             )
         if self.xi is not None and (not math.isfinite(self.xi) or self.xi < 0.0):
             raise ConfigurationError("explicit hub passivity index must be >= 0")
-        if self.epsilon_singular < 0.0:
-            raise ConfigurationError("singularity threshold must be nonnegative")
+        # S'Q^{-1}S <= max(S)^2 * sum(1/q), so a threshold >= 1 would defer every step
+        if not 0.0 <= self.epsilon_singular < 1.0:
+            raise ConfigurationError("epsilon_singular must be in [0, 1)")
+        if self.alpha_max is not None and not 0.0 < self.alpha_max < math.inf:
+            raise ConfigurationError("alpha_max must be None or a finite value > 0")
         for name, cut in (
             ("inertia_filter_cutoff", self.inertia_filter_cutoff),
             ("command_filter_cutoff", self.command_filter_cutoff),
@@ -112,8 +115,10 @@ class Scenario:
             raise ConfigurationError(
                 f"unknown scenario kind {self.kind!r}; expected one of {SCENARIO_KINDS}"
             )
-        if self.duration <= 0.0 or self.dt <= 0.0:
-            raise ConfigurationError("scenario duration and dt must be positive")
+        if not (0.0 < self.duration < math.inf and 0.0 < self.dt < math.inf):
+            raise ConfigurationError("scenario duration and dt must be positive and finite")
+        if not 0.5 < self.duration / self.dt < math.inf:  # num_steps >= 1, and finite
+            raise ConfigurationError("scenario must run at least one step, and finitely many")
         if not math.isfinite(self.amplitude):
             raise ConfigurationError("scenario amplitude must be finite")
         if self.kind == "external":

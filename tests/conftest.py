@@ -1,9 +1,8 @@
 import pytest
 
 import passivenet as pn
+from passivenet.selfcheck import HUB as TABLE1_HUB
 
-
-TABLE1_HUB = pn.ContinuousTF((1.0, 0.0), (0.5, 15.0, 1.0))
 TABLE1_NODES = (
     pn.ImpedanceTriple(10.0, 5.0, 400.0),
     pn.ImpedanceTriple(-10.0, -5.0, -400.0),
@@ -26,26 +25,6 @@ def table1_topology(**overrides) -> pn.Topology:
         xi=12.0,
         inertia_filter_cutoff=20.0,
         command_filter_cutoff=15.0,
-    )
-    kwargs.update(overrides)
-    return pn.Topology(**kwargs)
-
-
-def passive_topology(**overrides) -> pn.Topology:
-    kwargs = dict(
-        hub=TABLE1_HUB,
-        nodes=(
-            pn.ImpedanceTriple(10.0, 5.0, 400.0),
-            pn.ImpedanceTriple(10.0, 5.0, 400.0),
-            pn.ImpedanceTriple(20.0, 10.0, 800.0),
-        ),
-        delays=(
-            pn.DelayProfile(0.0, 0.0, 0.0),
-            pn.DelayProfile(0.0, 0.0, 0.0),
-            pn.DelayProfile(0.0, 0.0, 0.0),
-        ),
-        weights=pn.WeightMatrix((1.0, 1.0, 1.0)),
-        command_filter_cutoff=None,
     )
     kwargs.update(overrides)
     return pn.Topology(**kwargs)

@@ -1,6 +1,7 @@
 import json
 
 import passivenet as pn
+from passivenet import selfcheck
 from passivenet.cli import main
 
 
@@ -142,8 +143,24 @@ def test_unwritable_output_is_reported(tmp_path, capsys):
     assert capsys.readouterr().err
 
 
-def test_seed_check_passes(tmp_path, capsys):
+def test_seed_check_passes(capsys):
     rc = main(["--config", "table1.cfg", "--seed-check"])
     assert rc == 0
-    out = capsys.readouterr().out
-    assert "seed-check" in out and "FAIL" not in out
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [f"[seed-check] {name}: ok" for name, _ in selfcheck.CHECKS]
+
+
+def test_seed_check_reports_a_failing_check(monkeypatch, capsys):
+    def broken():
+        raise selfcheck.CheckFailed("planted")
+
+    checks = list(selfcheck.CHECKS)
+    name = checks[3][0]
+    checks[3] = (name, broken)
+    monkeypatch.setattr(selfcheck, "CHECKS", checks)
+    rc = main(["--config", "table1.cfg", "--seed-check"])
+    assert rc == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == len(checks)
+    assert lines[3] == f"[seed-check] {name}: FAIL (planted)"
+    assert all(line.endswith(": ok") for line in lines[:3] + lines[4:])

@@ -122,6 +122,29 @@ def test_decimation_validation():
         _parse(doc)
 
 
+def test_wrong_types_are_named_errors():
+    for *path, value in (
+        ("scenario", "duration", "abc"),
+        ("scenario", "amplitude", None),
+        ("topology", "nodes", 0, "m", [1]),
+        ("topology", "nodes", 5),
+        ("topology", "delays", 1, 0.05),
+        ("topology", "hub", "num", 0, "1"),
+        ("control", "q_diag", 0, True),
+        ("control", "alpha_max", False),
+        ("control", "epsilon_singular", None),
+        ("scenario", "dt", 10**400),
+        ("output", []),
+    ):
+        doc = _table1_doc()
+        section = doc
+        for key in path[:-1]:
+            section = section[key]
+        section[path[-1]] = value
+        with pytest.raises(pn.ConfigurationError, match="must be"):
+            _parse(doc)
+
+
 def test_negative_delay_profile_rejected():
     doc = _table1_doc()
     doc["topology"]["delays"][0]["amplitude"] = 0.06

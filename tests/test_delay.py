@@ -27,17 +27,6 @@ def test_halved_profile():
     assert (p.offset, p.amplitude, p.frequency) == (0.05, 0.0125, 20.0)
 
 
-def test_constant_delay_is_exact_shift():
-    dt = 0.01
-    rng = np.random.default_rng(11)
-    samples = rng.normal(size=400)
-    line = pn.DelayLine(0.1, dt)
-    for n, s in enumerate(samples):
-        out = line.push_and_sample(float(s), n * dt, 0.1)
-        want = float(samples[n - 10]) if n >= 10 else 0.0
-        assert out == want
-
-
 def test_zero_delay_is_identity():
     line = pn.DelayLine(0.0, 0.001)
     rng = np.random.default_rng(12)

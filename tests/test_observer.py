@@ -53,24 +53,6 @@ def test_injections_accumulate():
     assert ledger.injected_energy == pytest.approx(0.02, rel=1e-12)
 
 
-def test_incremental_consistency():
-    # ledger increment equals dt*(xi*y^2 + u_hat . y) with u_hat = u + alpha*y
-    rng = np.random.default_rng(21)
-    dt, xi, m = 0.001, 7.5, 4
-    ledger = pn.EnergyLedger(dt, xi, m)
-    prev = 0.0
-    for _ in range(2000):
-        y = float(rng.normal())
-        u = rng.normal(size=m)
-        ledger.ingest_step(y, u)
-        alpha = np.abs(rng.normal(size=m))
-        ledger.record_injection(alpha)
-        u_hat = u + alpha * y
-        inc = dt * (xi * y * y + float(np.dot(u_hat, np.full(m, y))))
-        assert ledger.controlled_energy - prev == pytest.approx(inc, abs=1e-12)
-        prev = ledger.controlled_energy
-
-
 def test_observable_energy_excludes_current_injection():
     ledger = pn.EnergyLedger(0.01, 0.0, 1)
     ledger.ingest_step(1.0, [-1.0])

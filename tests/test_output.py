@@ -1,6 +1,7 @@
 import pytest
 
 import passivenet as pn
+from passivenet.selfcheck import passive_topology
 from passivenet.sim import StepRecord, SummaryMetrics, Trace
 
 
@@ -79,8 +80,6 @@ def test_summary_round_trip(tmp_path):
 
 
 def test_quiet_run_summary_has_zero_injection():
-    from conftest import passive_topology
-
     scen = pn.Scenario(kind="external", duration=0.05, dt=0.001, samples=())
     _trace, metrics = pn.build(passive_topology(), scen).run()
     assert metrics.total_injected == 0.0

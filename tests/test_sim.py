@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import passivenet as pn
+from passivenet.selfcheck import passive_topology
 
-from conftest import TABLE1_DELAYS, passive_topology, table1_topology
+from conftest import TABLE1_DELAYS, table1_topology
 
 
 def test_build_estimates_hub_index():
@@ -27,6 +28,22 @@ def test_mismatched_weight_length_rejected():
 def test_mismatched_delay_count_rejected():
     with pytest.raises(pn.ConfigurationError):
         table1_topology(delays=TABLE1_DELAYS[:2])
+
+
+def test_alpha_max_must_be_finite_and_positive():
+    # a negative cap gives negative gains, which inject energy; NaN gives NaN forces
+    for bad in (-1.0, 0.0, math.nan, math.inf):
+        with pytest.raises(pn.ConfigurationError, match="alpha_max"):
+            table1_topology(alpha_max=bad)
+    assert table1_topology(alpha_max=0.5).alpha_max == 0.5
+
+
+def test_epsilon_singular_must_be_below_one():
+    # S'Q^{-1}S <= max(S)^2 * sum(1/q), so a threshold >= 1 would defer every step
+    for bad in (2.0, 1.0, math.nan, -1e-12):
+        with pytest.raises(pn.ConfigurationError, match="epsilon_singular"):
+            table1_topology(epsilon_singular=bad)
+    assert table1_topology(epsilon_singular=0.0).epsilon_singular == 0.0
 
 
 def test_all_quiet_run_is_identically_zero():
@@ -96,15 +113,6 @@ def test_energy_audit_resummation(stabilizer):
         assert rec.e_hat == pytest.approx(want, abs=1e-9)
 
 
-def test_passive_baseline_never_fires():
-    scen = pn.Scenario(kind="dual-sine", duration=2.0, dt=0.001, amplitude=20.0)
-    trace, metrics = pn.build(passive_topology(), scen).run()
-    assert not metrics.diverged
-    assert metrics.total_injected == 0.0
-    assert all(rec.e_obs >= 0.0 for rec in trace.records)
-    assert all(all(a == 0.0 for a in rec.alpha) for rec in trace.records)
-
-
 def test_unstabilized_run_diverges_and_stops_early():
     topo = table1_topology(stabilizer_enabled=False)
     scen = pn.Scenario(kind="impulse", duration=20.0, dt=0.001)
@@ -143,6 +151,13 @@ def test_scenario_validation():
         pn.Scenario(kind="external", duration=1.0, dt=0.001)  # samples required
     with pytest.raises(pn.ConfigurationError):
         pn.Scenario(kind="impulse", duration=1.0, dt=0.001, samples=(1.0,))
+    # non-finite values, and durations that give no step or no finite step count
+    for duration, dt in (
+        (math.nan, 0.001), (math.inf, 0.001), (1.0, math.nan), (1.0, math.inf),
+        (0.0004, 0.001), (1e300, 1e-300),
+    ):
+        with pytest.raises(pn.ConfigurationError):
+            pn.Scenario(kind="impulse", duration=duration, dt=dt)
 
 
 def test_impulse_realization():
