@@ -154,27 +154,36 @@ def _output(result) -> float:
     return result[0] if isinstance(result, tuple) else result
 
 
-def check_linearity() -> None:
+_Z = ImpedanceTriple(10.0, 5.0, 400.0)
+
+LINEAR_STATES = (
+    ("hub", lambda: make_hub_admittance(HUB, 1e-3)),
+    ("node", lambda: NodeState(_Z, 1e-3)),
+    ("filtered node", lambda: NodeState(_Z, 1e-3, derivative_cutoff=20.0)),
+)
+
+
+def check_state_linearity(make, name: str = "state") -> None:
+    """Superposition for the states that ``make`` builds, over 400 samples."""
     rng = np.random.default_rng(5)
     u1 = rng.normal(size=400)
     u2 = rng.normal(size=400)
     a, b = 1.7, -0.6
-    z = ImpedanceTriple(10.0, 5.0, 400.0)
-    for name, make in (
-        ("hub", lambda: make_hub_admittance(HUB, 1e-3)),
-        ("node", lambda: NodeState(z, 1e-3)),
-        ("filtered node", lambda: NodeState(z, 1e-3, derivative_cutoff=20.0)),
-    ):
-        s1, s2, s3 = make(), make(), make()
-        for x1, x2 in zip(u1, u2):
-            y1 = _output(s1.step(float(x1)))
-            y2 = _output(s2.step(float(x2)))
-            y3 = _output(s3.step(float(a * x1 + b * x2)))
-            want = a * y1 + b * y2
-            _expect(
-                abs(y3 - want) <= max(1e-9 * abs(want), 1e-12),
-                f"{name}: response {y3!r} to the combined input != {want!r}",
-            )
+    s1, s2, s3 = make(), make(), make()
+    for x1, x2 in zip(u1, u2):
+        y1 = _output(s1.step(float(x1)))
+        y2 = _output(s2.step(float(x2)))
+        y3 = _output(s3.step(float(a * x1 + b * x2)))
+        want = a * y1 + b * y2
+        _expect(
+            abs(y3 - want) <= max(1e-9 * abs(want), 1e-12),
+            f"{name}: response {y3!r} to the combined input != {want!r}",
+        )
+
+
+def check_linearity() -> None:
+    for name, make in LINEAR_STATES:
+        check_state_linearity(make, name)
 
 
 def check_passive_baseline() -> None:

@@ -3,6 +3,7 @@ import pytest
 from scipy.linalg import expm
 
 import passivenet as pn
+from passivenet.selfcheck import LINEAR_STATES, check_state_linearity
 
 from conftest import TABLE1_HUB
 
@@ -156,6 +157,11 @@ def test_node_negation_symmetry():
     rng = np.random.default_rng(4)
     for v in rng.normal(size=500):
         assert neg.step(float(v)) == -pos.step(float(v))
+
+
+@pytest.mark.parametrize("make_state", [make for _, make in LINEAR_STATES])
+def test_linearity(make_state):
+    check_state_linearity(make_state)
 
 
 def test_node_passivity_over_whole_periods():
