@@ -48,6 +48,18 @@ class WeightMatrix:
         return self._inverse
 
 
+def check_allocator_knobs(epsilon_singular: float, alpha_max: float | None) -> None:
+    """Reject a deferral threshold outside [0, 1) or a gain cap that is not None or > 0.
+
+    S'Q^{-1}S <= max(S)^2 * sum(1/q), so a threshold >= 1 would defer every
+    step; a cap <= 0 would make the gains inject energy.
+    """
+    if not 0.0 <= epsilon_singular < 1.0:
+        raise ConfigurationError("epsilon_singular must be in [0, 1)")
+    if alpha_max is not None and not 0.0 < alpha_max < math.inf:
+        raise ConfigurationError("alpha_max must be None or a finite value > 0")
+
+
 @dataclass(frozen=True)
 class AllocationResult:
     """Damping gains, whether the deficit branch fired, and A'S + E_obs/dt."""
@@ -76,6 +88,7 @@ def allocate(
     """
     if dt <= 0.0:
         raise ConfigurationError("sample period must be positive")
+    check_allocator_knobs(epsilon_singular, alpha_max)
     if not math.isfinite(e_obs):
         raise SimulationFault(f"non-finite observable energy: {e_obs!r}")
     s = np.asarray(squared_outputs, dtype=float)

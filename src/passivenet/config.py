@@ -92,6 +92,13 @@ def _number(value, where: str) -> float:
     raise ConfigurationError(f"{where} must be a number, got {value!r:.40}")
 
 
+def _file_name(section: dict, key: str, default: str) -> str:
+    value = section.get(key, default)
+    if not isinstance(value, str) or not value:
+        raise ConfigurationError(f"output.{key} must be a non-empty string, got {value!r:.40}")
+    return value
+
+
 def _num_list(value, where: str) -> tuple[float, ...]:
     if not isinstance(value, list):
         raise ConfigurationError(f"{where} must be an array of numbers")
@@ -186,8 +193,8 @@ def parse_config(text: str) -> RunConfig:
     return RunConfig(
         topology=topology,
         scenario=scenario,
-        trace_path=str(out_sec.get("trace", "trace.csv")),
-        summary_path=str(out_sec.get("summary", "summary.txt")),
+        trace_path=_file_name(out_sec, "trace", "trace.csv"),
+        summary_path=_file_name(out_sec, "summary", "summary.txt"),
         decimation=decimation,
     )
 

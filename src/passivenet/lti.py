@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm
-from scipy.signal import cont2discrete, tf2ss
 
 from .errors import ConfigurationError
 
@@ -133,7 +132,15 @@ class HubState:
 
 
 def make_hub_admittance(tf: ContinuousTF, dt: float) -> HubState:
-    """Discretize a strictly proper admittance with a zero-order hold."""
+    """Discretize a strictly proper admittance with a zero-order hold.
+
+    The realization is the controller-canonical form, built with the same
+    arithmetic as ``scipy.signal.tf2ss`` followed by
+    ``cont2discrete(method="zoh")``: (Ad, bd) are the top blocks of
+    expm(dt * [[A, b], [0, 0]]).  Unlike scipy, a leading numerator
+    coefficient of magnitude <= 1e-14 is kept, not trimmed.  A realization
+    that overflows is rejected.
+    """
     if dt <= 0.0:
         raise ConfigurationError("sample period must be positive")
     if not tf.strictly_proper:
@@ -142,20 +149,29 @@ def make_hub_admittance(tf: ContinuousTF, dt: float) -> HubState:
             "degree); a proper-but-not-strict model has direct feedthrough and closes "
             "an algebraic loop"
         )
-    a, b, c, d = tf2ss(list(tf.num), list(tf.den))
-    ad, bd, cd, dd, _ = cont2discrete((a, b, c, d), dt, method="zoh")
-    if np.any(dd != 0.0):
-        raise ConfigurationError("hold-equivalent realization has nonzero feedthrough")
-    once, twice = _hold_integrals(np.asarray(a), dt)
-    c_row = np.asarray(c)[0]
-    return HubState(
-        np.asarray(ad),
-        np.asarray(bd)[:, 0],
-        np.asarray(cd)[0],
-        dt,
-        travel_row=c_row @ once,
-        hold_travel=float(c_row @ twice @ np.asarray(b)[:, 0]),
-    )
+    # an overflow here is reported below as a ConfigurationError, not as warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        den = np.asarray(tf.den, dtype=float)
+        num = np.asarray(tf.num, dtype=float) / den[0]
+        den = den / den[0]
+        n = len(den) - 1
+        num = np.concatenate([np.zeros(n + 1 - len(num)), num])
+        a = np.vstack([-den[1:], np.eye(n - 1, n)])
+        b = np.eye(1, n)[0]
+        c = num[1:] - num[0] * den[1:]
+        block = np.zeros((n + 1, n + 1))
+        block[:n, :n] = a
+        block[:n, n] = b
+        top = expm(dt * block)[:n]
+        once, twice = _hold_integrals(a, dt)
+        travel_row = c @ once
+        hold_travel = float(c @ twice @ b)
+    if not all(np.isfinite(m).all() for m in (top, c, once, twice, travel_row, hold_travel)):
+        raise ConfigurationError(
+            f"hub realization is not finite at dt={dt!r}: a coefficient, or the "
+            "growth of an unstable pole over one sample, overflows float range"
+        )
+    return HubState(top[:, :n], top[:, n], c, dt, travel_row, hold_travel)
 
 
 def _hold_integrals(a: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:

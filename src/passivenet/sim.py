@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .allocator import WeightMatrix, allocate
+from .allocator import WeightMatrix, allocate, check_allocator_knobs
 from .delay import DelayLine, DelayProfile
 from .errors import ConfigurationError, SimulationFault
 from .lti import (
@@ -83,11 +83,7 @@ class Topology:
             )
         if self.xi is not None and (not math.isfinite(self.xi) or self.xi < 0.0):
             raise ConfigurationError("explicit hub passivity index must be >= 0")
-        # S'Q^{-1}S <= max(S)^2 * sum(1/q), so a threshold >= 1 would defer every step
-        if not 0.0 <= self.epsilon_singular < 1.0:
-            raise ConfigurationError("epsilon_singular must be in [0, 1)")
-        if self.alpha_max is not None and not 0.0 < self.alpha_max < math.inf:
-            raise ConfigurationError("alpha_max must be None or a finite value > 0")
+        check_allocator_knobs(self.epsilon_singular, self.alpha_max)
         for name, cut in (
             ("inertia_filter_cutoff", self.inertia_filter_cutoff),
             ("command_filter_cutoff", self.command_filter_cutoff),

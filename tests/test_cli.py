@@ -134,6 +134,17 @@ def test_invalid_q_diag_flag(tmp_path, capsys):
     assert "comma-separated" in capsys.readouterr().err
 
 
+def test_overflowing_hub_is_a_configuration_error(tmp_path, capsys):
+    doc = _short_doc()
+    doc["topology"]["hub"] = {"num": [1.0], "den": [1.0, -2e5]}
+    doc["topology"]["xi"] = 0.0
+    doc["scenario"]["dt"] = 0.01
+    rc = main(["--config", str(_write(tmp_path, doc)), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("passivenet: error: hub realization is not finite")
+    assert not (tmp_path / "out" / "trace.csv").exists()
+
+
 def test_unwritable_output_is_reported(tmp_path, capsys):
     cfg = _write(tmp_path, _short_doc(duration=0.05))
     blocker = tmp_path / "blocked"

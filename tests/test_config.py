@@ -135,6 +135,9 @@ def test_wrong_types_are_named_errors():
         ("control", "epsilon_singular", None),
         ("scenario", "dt", 10**400),
         ("output", []),
+        ("output", "trace", None),
+        ("output", "summary", 5),
+        ("output", "trace", ""),
     ):
         doc = _table1_doc()
         section = doc
@@ -143,6 +146,17 @@ def test_wrong_types_are_named_errors():
         section[path[-1]] = value
         with pytest.raises(pn.ConfigurationError, match="must be"):
             _parse(doc)
+
+
+def test_overflowing_hub_realization_is_rejected_at_build():
+    # e^{2e5 * 0.01} overflows float range
+    doc = _table1_doc()
+    doc["topology"]["hub"] = {"num": [1.0], "den": [1.0, -2e5]}
+    doc["topology"]["xi"] = 0.0
+    doc["scenario"]["dt"] = 0.01
+    cfg = _parse(doc)
+    with pytest.raises(pn.ConfigurationError, match="hub realization is not finite"):
+        pn.build(cfg.topology, cfg.scenario)
 
 
 def test_negative_delay_profile_rejected():

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -122,6 +127,73 @@ def test_hold_preview_matches_dense_travel(tf):
     )
     hub.step(force)
     assert hub.velocity() == pytest.approx(float(c @ x1), rel=1e-9)
+
+
+def _scipy_zoh(tf, dt):
+    """The reference realization: scipy's tf2ss, then cont2discrete(zoh)."""
+    from scipy.signal import cont2discrete, tf2ss
+
+    ad, bd, cd, _, _ = cont2discrete(tf2ss(list(tf.num), list(tf.den)), dt, method="zoh")
+    return ad, bd[:, 0], cd[0]
+
+
+def _assert_realization_equals_scipy(tf, dt=0.001):
+    hub = pn.make_hub_admittance(tf, dt)
+    for got, want in zip((hub._a, hub._b, hub._c), _scipy_zoh(tf, dt)):
+        assert np.array_equal(got, want), tf
+
+
+def _stable_random_hubs(count):
+    rng = np.random.default_rng(21)
+    for _ in range(count):
+        order = int(rng.integers(1, 6))
+        poles = -(10.0 ** rng.uniform(-2.0, 3.0, size=order))
+        den = float(rng.uniform(0.1, 5.0)) * np.poly(poles)
+        num = rng.normal(size=int(rng.integers(1, order + 1)))
+        yield pn.ContinuousTF(tuple(num.tolist()), tuple(den.tolist()))
+
+
+@pytest.mark.filterwarnings("ignore:Badly conditioned")  # scipy trims the exact zero
+@pytest.mark.parametrize(
+    "tf",
+    [
+        TABLE1_HUB,
+        INTEGRATOR,
+        pn.ContinuousTF((3.0, -1.0), (-2.5, 4.0, 7.0)),   # non-monic, negative leading
+        pn.ContinuousTF((0.0, 2.0), (1.0, 3.0, 2.0)),     # exact-zero leading numerator
+    ],
+    ids=["table1", "integrator", "non_monic", "zero_leading_num"],
+)
+def test_realization_equals_scipy(tf):
+    _assert_realization_equals_scipy(tf)
+
+
+def test_realization_equals_scipy_on_random_stable_hubs():
+    for tf in _stable_random_hubs(200):
+        _assert_realization_equals_scipy(tf)
+
+
+def test_overflowing_realization_is_rejected():
+    with pytest.raises(pn.ConfigurationError, match="not finite"):
+        pn.make_hub_admittance(pn.ContinuousTF((1.0,), (1.0, -2e5)), 0.01)
+    with pytest.raises(pn.ConfigurationError, match="not finite"):
+        pn.make_hub_admittance(pn.ContinuousTF((1e300,), (1e-300, 1.0)), 0.01)
+
+
+def test_building_a_run_leaves_scipy_signal_unloaded():
+    # scipy.signal costs most of the import time; the package must not pull it in
+    code = (
+        "import sys, passivenet as pn\n"
+        "cfg = pn.parse_config_file(pn.bundled_config_path('table1.cfg'))\n"
+        "pn.build(cfg.topology, cfg.scenario)\n"
+        "loaded = sorted(m for m in sys.modules if m.startswith('scipy.signal'))\n"
+        "assert not loaded, loaded\n"
+    )
+    src = str(Path(pn.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_hub_requires_strictly_proper():
