@@ -19,7 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, SimulationFault
+from .errors import ConfigurationError, SimulationFault, check_positive_finite
+
+# S'Q^{-1}S at or below this fraction of max(S)^2 * sum(1/q) defers the deficit.
+# In the loop every port sees the one hub output, so the two are equal and only
+# an S'Q^{-1}S that underflows to zero defers; the value matters for a general S.
+EPSILON_SINGULAR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -32,10 +37,7 @@ class WeightMatrix:
         if len(self.diagonal) == 0:
             raise ConfigurationError("weight matrix diagonal must be nonempty")
         for q in self.diagonal:
-            if not math.isfinite(q) or q <= 0.0:
-                raise ConfigurationError(
-                    f"weight matrix diagonal entries must be positive and finite, got {q!r}"
-                )
+            check_positive_finite(q, "weight matrix diagonal entry")
         inverse = 1.0 / np.asarray(self.diagonal, dtype=float)
         inverse.setflags(write=False)
         object.__setattr__(self, "_inverse", inverse)
@@ -48,18 +50,6 @@ class WeightMatrix:
         return self._inverse
 
 
-def check_allocator_knobs(epsilon_singular: float, alpha_max: float | None) -> None:
-    """Reject a deferral threshold outside [0, 1) or a gain cap that is not None or > 0.
-
-    S'Q^{-1}S <= max(S)^2 * sum(1/q), so a threshold >= 1 would defer every
-    step; a cap <= 0 would make the gains inject energy.
-    """
-    if not 0.0 <= epsilon_singular < 1.0:
-        raise ConfigurationError("epsilon_singular must be in [0, 1)")
-    if alpha_max is not None and not 0.0 < alpha_max < math.inf:
-        raise ConfigurationError("alpha_max must be None or a finite value > 0")
-
-
 @dataclass(frozen=True)
 class AllocationResult:
     """Damping gains, whether the deficit branch fired, and A'S + E_obs/dt."""
@@ -69,15 +59,7 @@ class AllocationResult:
     constraint_residual: float
 
 
-def allocate(
-    e_obs: float,
-    squared_outputs,
-    weights: WeightMatrix,
-    dt: float,
-    *,
-    epsilon_singular: float = 1e-12,
-    alpha_max: float | None = None,
-) -> AllocationResult:
+def allocate(e_obs: float, squared_outputs, weights: WeightMatrix, dt: float) -> AllocationResult:
     """Compute the per-port damping gain vector for one step.
 
     The singularity guard is scale-relative: the deficit branch defers
@@ -86,9 +68,7 @@ def allocate(
     decision invariant under rescaling of Q or of the output units and
     means any genuinely nonzero S fires.
     """
-    if dt <= 0.0:
-        raise ConfigurationError("sample period must be positive")
-    check_allocator_knobs(epsilon_singular, alpha_max)
+    check_positive_finite(dt)
     if not math.isfinite(e_obs):
         raise SimulationFault(f"non-finite observable energy: {e_obs!r}")
     s = np.asarray(squared_outputs, dtype=float)
@@ -109,11 +89,9 @@ def allocate(
     s_over_q = s * inv_q
     denom = float(np.dot(s, s_over_q))          # S' Q^{-1} S
     scale = float(s.max()) ** 2 * float(inv_q.sum())
-    if scale <= 0.0 or denom <= epsilon_singular * scale:
+    if scale <= 0.0 or denom <= EPSILON_SINGULAR * scale:
         return AllocationResult(zero, False, e_obs / dt)
 
     gains = s_over_q * ((-e_obs / dt) / denom)
-    if alpha_max is not None:
-        gains = np.minimum(gains, alpha_max)
     residual = float(np.dot(gains, s)) + e_obs / dt
     return AllocationResult(gains, True, residual)

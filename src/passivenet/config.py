@@ -33,6 +33,14 @@ _DELAY_KEYS = {"offset", "amplitude", "frequency"}
 _SCENARIO_KEYS = {"kind", "amplitude", "duration", "dt", "samples"}
 _CONTROL_KEYS = {"stabilizer", "q_diag", "epsilon_singular", "alpha_max"}
 _OUTPUT_KEYS = {"trace", "summary", "decimation"}
+# Removed control knobs: configs written before their removal carry them at
+# these old defaults, which still parse; any other value is an error.
+_REMOVED_CONTROL = {
+    "epsilon_singular": (
+        1e-12, "it is fixed in allocate; no value below 1 changes a run of the broadcast loop"
+    ),
+    "alpha_max": (None, "a gain cap breaks the equality that keeps the stabilized loop passive"),
+}
 _TOP_KEYS = {"topology", "scenario", "control", "output"}
 
 
@@ -155,6 +163,13 @@ def parse_config(text: str) -> RunConfig:
     stabilizer = control_sec.get("stabilizer", True)
     if not isinstance(stabilizer, bool):
         raise ConfigurationError("control.stabilizer must be true or false")
+    for key, (old_default, why) in _REMOVED_CONTROL.items():
+        value = control_sec.get(key, old_default)
+        if type(value) is not type(old_default) or value != old_default:
+            raise ConfigurationError(
+                f"control.{key} was removed ({why}); only its old default "
+                f"{json.dumps(old_default)} is accepted, got {value!r:.40}"
+            )
 
     topology = Topology(
         hub=hub,
@@ -163,10 +178,6 @@ def parse_config(text: str) -> RunConfig:
         weights=weights,
         stabilizer_enabled=stabilizer,
         xi=_opt_float(topo_sec, "xi", "topology", None),
-        epsilon_singular=_number(
-            control_sec.get("epsilon_singular", 1e-12), "control.epsilon_singular"
-        ),
-        alpha_max=_opt_float(control_sec, "alpha_max", "control", None),
         inertia_filter_cutoff=_opt_float(topo_sec, "inertia_filter_cutoff", "topology", 20.0),
         command_filter_cutoff=_opt_float(topo_sec, "command_filter_cutoff", "topology", None),
     )
@@ -222,8 +233,6 @@ def serialize_config(cfg: RunConfig) -> str:
         "control": {
             "stabilizer": topo.stabilizer_enabled,
             "q_diag": list(topo.weights.diagonal),
-            "epsilon_singular": topo.epsilon_singular,
-            "alpha_max": topo.alpha_max,
         },
         "output": {
             "trace": cfg.trace_path,

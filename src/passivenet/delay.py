@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, check_positive_finite
 
 
 @dataclass(frozen=True)
@@ -49,11 +49,11 @@ class DelayLine:
     """
 
     def __init__(self, max_delay: float, dt: float):
-        if dt <= 0.0:
-            raise ConfigurationError("sample period must be positive")
-        if max_delay < 0.0:
-            raise ConfigurationError("maximum delay must be nonnegative")
-        self.dt = dt
+        if not 0.0 <= max_delay < math.inf:
+            raise ConfigurationError(
+                f"maximum delay must be nonnegative and finite, got {max_delay!r}"
+            )
+        self.dt = check_positive_finite(dt)
         self.capacity = int(math.ceil(max_delay / dt)) + 2
         self._buf = np.zeros(self.capacity)
         self._n = 0  # index of the next push

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, check_positive_finite
 
 
 @dataclass(frozen=True)
@@ -67,8 +67,8 @@ class FirstOrderLowpass:
     """Backward-Euler one-pole low-pass, y[n] = y[n-1] + beta*(x[n] - y[n-1])."""
 
     def __init__(self, cutoff: float, dt: float):
-        if cutoff <= 0.0 or dt <= 0.0:
-            raise ConfigurationError("low-pass cutoff and sample period must be positive")
+        check_positive_finite(cutoff, "low-pass cutoff")
+        check_positive_finite(dt)
         self._beta = (cutoff * dt) / (1.0 + cutoff * dt)
         self._y = 0.0
 
@@ -141,8 +141,7 @@ def make_hub_admittance(tf: ContinuousTF, dt: float) -> HubState:
     coefficient of magnitude <= 1e-14 is kept, not trimmed.  A realization
     that overflows is rejected.
     """
-    if dt <= 0.0:
-        raise ConfigurationError("sample period must be positive")
+    check_positive_finite(dt)
     if not tf.strictly_proper:
         raise ConfigurationError(
             "hub admittance must be strictly proper (numerator degree < denominator "
@@ -196,10 +195,8 @@ class NodeState:
     """
 
     def __init__(self, triple: ImpedanceTriple, dt: float, derivative_cutoff: float | None = None):
-        if dt <= 0.0:
-            raise ConfigurationError("sample period must be positive")
         self.triple = triple
-        self.dt = dt
+        self.dt = check_positive_finite(dt)
         self._prev_v = 0.0
         self._integral = 0.0
         self._dfilter = (

@@ -6,9 +6,9 @@ Two ledgers watch the hub port.
 sampled hub output, one rectangle per sample: the observable energy is
 E_obs[n] = E_hat[n-1] + dt*(xi*y^2 + u.y) and the controlled energy, once
 the stabilizer's injection is recorded, is E_hat[n] = E_obs[n] + dt*A.S.
-The net energy is accumulated directly; the raw interconnection energy E and
-the injected dissipation D are kept beside it for reporting only, since
-forming E_hat as E + D would cancel two large sums of opposite sign.
+The net energy is accumulated directly, not formed as the raw
+interconnection energy E plus the injected dissipation D: those are two
+large sums of opposite sign.  The per-port D_i are kept for reporting only.
 
 ``HoldLedger`` prices the same port exactly.  The hub is a zero-order-hold
 plant: the net network force s it is handed stays applied for the whole
@@ -27,7 +27,7 @@ import math
 
 import numpy as np
 
-from .errors import SimulationFault
+from .errors import SimulationFault, check_positive_finite
 
 # A predicted next sample within this fraction of the held-force speed of
 # zero counts as landing on the held force's side: it leaves the rounding of
@@ -41,20 +41,14 @@ class EnergyLedger:
     """
 
     def __init__(self, dt: float, xi: float, num_ports: int):
-        if dt <= 0.0:
-            raise SimulationFault("sample period must be positive")
-        if xi < 0.0:
-            raise SimulationFault("hub passivity index must be nonnegative")
         if num_ports < 1:
             raise SimulationFault("ledger needs at least one port")
-        self.dt = dt
-        self.xi = xi
+        self.dt = check_positive_finite(dt)
+        self.xi = _check_credit(xi)
         self.num_ports = num_ports
-        self.raw_energy = 0.0         # E, reporting only
         self.dissipated = np.zeros(num_ports)  # D_i, reporting only
         self.observable_energy = 0.0  # E_obs at the last ingest
         self.controlled_energy = 0.0  # E_hat
-        self.step_count = 0
         self._y = 0.0
 
     @property
@@ -71,10 +65,8 @@ class EnergyLedger:
         """
         increment = self.dt * y * (self.xi * y + float(np.sum(u)))
         self._y = y
-        self.raw_energy += increment
         self.observable_energy = self.controlled_energy + increment
         self.controlled_energy = self.observable_energy
-        self.step_count += 1
         return self.observable_energy
 
     def record_injection(self, gains) -> None:
@@ -94,12 +86,8 @@ class HoldLedger:
     """
 
     def __init__(self, dt: float, credit: float, hub):
-        if dt <= 0.0:
-            raise SimulationFault("sample period must be positive")
-        if not math.isfinite(credit) or credit < 0.0:
-            raise SimulationFault("hub passivity index must be nonnegative")
-        self.dt = dt
-        self.credit = credit
+        self.dt = check_positive_finite(dt)
+        self.credit = _check_credit(credit)
         self.travel_gain = hub.hold_travel
         self.velocity_gain = hub.hold_velocity
         self.carry_gain = hub.hold_carry
@@ -175,6 +163,14 @@ class HoldLedger:
             if value > best_value:
                 best_t, best_value = lo + t, value
         return floor + direction * best_t
+
+
+def _check_credit(credit: float) -> float:
+    if not math.isfinite(credit) or credit < 0.0:
+        raise SimulationFault(
+            f"hub passivity index must be finite and nonnegative, got {credit!r}"
+        )
+    return credit
 
 
 def _along(quad, origin: float, direction: float, shift: float):

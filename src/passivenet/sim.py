@@ -26,9 +26,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .allocator import WeightMatrix, allocate, check_allocator_knobs
+from .allocator import WeightMatrix, allocate
 from .delay import DelayLine, DelayProfile
-from .errors import ConfigurationError, SimulationFault
+from .errors import ConfigurationError, SimulationFault, check_positive_finite
 from .lti import (
     ContinuousTF,
     FirstOrderLowpass,
@@ -39,8 +39,9 @@ from .lti import (
 )
 from .observer import EnergyLedger, HoldLedger
 
-DEFAULT_VELOCITY_LIMIT = 1e6
-DEFAULT_ENERGY_LIMIT = 1e6
+# run() stops, diverged, once |y| or -E_obs exceeds these.
+VELOCITY_LIMIT = 1e6
+ENERGY_LIMIT = 1e6
 
 SCENARIO_KINDS = ("impulse", "dual-sine", "external")
 
@@ -64,8 +65,6 @@ class Topology:
     weights: WeightMatrix
     stabilizer_enabled: bool = True
     xi: float | None = None
-    epsilon_singular: float = 1e-12
-    alpha_max: float | None = None
     inertia_filter_cutoff: float | None = 20.0
     command_filter_cutoff: float | None = None
 
@@ -83,13 +82,12 @@ class Topology:
             )
         if self.xi is not None and (not math.isfinite(self.xi) or self.xi < 0.0):
             raise ConfigurationError("explicit hub passivity index must be >= 0")
-        check_allocator_knobs(self.epsilon_singular, self.alpha_max)
         for name, cut in (
             ("inertia_filter_cutoff", self.inertia_filter_cutoff),
             ("command_filter_cutoff", self.command_filter_cutoff),
         ):
-            if cut is not None and (not math.isfinite(cut) or cut <= 0.0):
-                raise ConfigurationError(f"{name} must be positive or None")
+            if cut is not None:
+                check_positive_finite(cut, name)
 
     @property
     def num_nodes(self) -> int:
@@ -111,8 +109,8 @@ class Scenario:
             raise ConfigurationError(
                 f"unknown scenario kind {self.kind!r}; expected one of {SCENARIO_KINDS}"
             )
-        if not (0.0 < self.duration < math.inf and 0.0 < self.dt < math.inf):
-            raise ConfigurationError("scenario duration and dt must be positive and finite")
+        check_positive_finite(self.duration, "scenario duration")
+        check_positive_finite(self.dt)
         if not 0.5 < self.duration / self.dt < math.inf:  # num_steps >= 1, and finite
             raise ConfigurationError("scenario must run at least one step, and finitely many")
         if not math.isfinite(self.amplitude):
@@ -239,15 +237,7 @@ class Simulation:
                 )
                 if (held - floor) * y > 0.0:
                     target = -(held - raw) * y * dt
-            result = allocate(
-                target,
-                np.full(m, y * y),
-                topo.weights,
-                dt,
-                epsilon_singular=topo.epsilon_singular,
-                alpha_max=topo.alpha_max,
-            )
-            gains = result.gains
+            gains = allocate(target, np.full(m, y * y), topo.weights, dt).gains
             u_hat = u + gains * y
         else:
             gains = np.zeros(m)
@@ -277,12 +267,8 @@ class Simulation:
             e_hat=self.ledger.controlled_energy,
         )
 
-    def run(
-        self,
-        velocity_limit: float = DEFAULT_VELOCITY_LIMIT,
-        energy_limit: float = DEFAULT_ENERGY_LIMIT,
-    ) -> tuple[Trace, SummaryMetrics]:
-        """Step to the configured duration or until a divergence threshold trips.
+    def run(self) -> tuple[Trace, SummaryMetrics]:
+        """Step to the configured duration or until a divergence limit trips.
 
         A step that faults ends the run unrecorded, so every recorded cell is finite.
         """
@@ -295,7 +281,7 @@ class Simulation:
                 diverged = True
                 break
             trace.records.append(rec)
-            if abs(rec.y) > velocity_limit or rec.e_obs < -energy_limit:
+            if abs(rec.y) > VELOCITY_LIMIT or rec.e_obs < -ENERGY_LIMIT:
                 diverged = True
                 break
         return trace, summarize(trace, diverged)

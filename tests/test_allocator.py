@@ -33,15 +33,6 @@ def test_zero_output_defers():
     assert np.all(res.gains == 0.0)
 
 
-def test_alpha_max_clamp():
-    res = allocate(
-        -3.0, np.ones(3), pn.WeightMatrix((1.0, 1.0, 1.0)), 1.0, alpha_max=0.5
-    )
-    assert res.fired
-    assert np.all(res.gains <= 0.5)
-    assert res.constraint_residual < 0.0  # clamped short of the deficit
-
-
 def test_invalid_weights_rejected():
     with pytest.raises(pn.ConfigurationError):
         pn.WeightMatrix((1.0, 0.0, 1.0))
@@ -59,24 +50,6 @@ def test_nonfinite_inputs_fault():
         allocate(-1.0, np.array([float("inf")]), q, 0.001)
     with pytest.raises(pn.SimulationFault):
         allocate(-1.0, np.array([-1.0]), q, 0.001)
-
-
-def test_bad_knobs_are_rejected():
-    # the same ranges Topology enforces: a negative cap gives energy-injecting
-    # gains, and a threshold >= 1 defers a real deficit
-    q = pn.WeightMatrix((1.0, 1.0, 1.0))
-    for knobs in (
-        {"alpha_max": -1.0},
-        {"alpha_max": 0.0},
-        {"alpha_max": float("nan")},
-        {"alpha_max": float("inf")},
-        {"epsilon_singular": 2.0},
-        {"epsilon_singular": 1.0},
-        {"epsilon_singular": -1e-12},
-        {"epsilon_singular": float("nan")},
-    ):
-        with pytest.raises(pn.ConfigurationError, match=next(iter(knobs))):
-            allocate(-1.0, np.ones(3), q, 1e-3, **knobs)
 
 
 def test_randomized_kkt_residual():

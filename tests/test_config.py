@@ -131,8 +131,6 @@ def test_wrong_types_are_named_errors():
         ("topology", "delays", 1, 0.05),
         ("topology", "hub", "num", 0, "1"),
         ("control", "q_diag", 0, True),
-        ("control", "alpha_max", False),
-        ("control", "epsilon_singular", None),
         ("scenario", "dt", 10**400),
         ("output", []),
         ("output", "trace", None),
@@ -146,6 +144,22 @@ def test_wrong_types_are_named_errors():
         section[path[-1]] = value
         with pytest.raises(pn.ConfigurationError, match="must be"):
             _parse(doc)
+
+
+def test_removed_control_keys_parse_only_at_their_old_defaults():
+    for key, value in (
+        ("alpha_max", 5.0), ("alpha_max", 0.5), ("alpha_max", False),
+        ("epsilon_singular", 0.0), ("epsilon_singular", 0.5), ("epsilon_singular", None),
+    ):
+        doc = _table1_doc()
+        doc["control"][key] = value
+        with pytest.raises(pn.ConfigurationError, match="removed"):
+            _parse(doc)
+    old, bare = _table1_doc(), _table1_doc()
+    old["control"].update(alpha_max=None, epsilon_singular=1e-12)
+    for key in ("alpha_max", "epsilon_singular"):
+        bare["control"].pop(key, None)
+    assert _parse(old) == _parse(bare)
 
 
 def test_overflowing_hub_realization_is_rejected_at_build():

@@ -84,3 +84,13 @@ def test_negative_requested_delay_faults():
     line = pn.DelayLine(0.05, 0.001)
     with pytest.raises(pn.ConfigurationError):
         line.push_and_sample(1.0, 0.0, -0.001)
+
+
+def test_delay_at_line_capacity():
+    line = pn.DelayLine(0.1, 0.01)
+    assert line.capacity == 12
+    for n in range(20):
+        line.push_and_sample(float(n), n * 0.01, 0.0)
+    assert line.push_and_sample(20.0, 0.2, 0.11) == 9.0  # pushed 11 samples back
+    with pytest.raises(pn.ConfigurationError, match="capacity"):
+        line.push_and_sample(21.0, 0.21, 0.12)

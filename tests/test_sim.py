@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 import passivenet as pn
+from passivenet.observer import HoldLedger
 from passivenet.selfcheck import passive_topology
 
-from conftest import TABLE1_DELAYS, table1_topology
+from conftest import TABLE1_DELAYS, TABLE1_HUB, table1_topology
 
 
 def test_build_estimates_hub_index():
@@ -28,22 +29,6 @@ def test_mismatched_weight_length_rejected():
 def test_mismatched_delay_count_rejected():
     with pytest.raises(pn.ConfigurationError):
         table1_topology(delays=TABLE1_DELAYS[:2])
-
-
-def test_alpha_max_must_be_finite_and_positive():
-    # a negative cap gives negative gains, which inject energy; NaN gives NaN forces
-    for bad in (-1.0, 0.0, math.nan, math.inf):
-        with pytest.raises(pn.ConfigurationError, match="alpha_max"):
-            table1_topology(alpha_max=bad)
-    assert table1_topology(alpha_max=0.5).alpha_max == 0.5
-
-
-def test_epsilon_singular_must_be_below_one():
-    # S'Q^{-1}S <= max(S)^2 * sum(1/q), so a threshold >= 1 would defer every step
-    for bad in (2.0, 1.0, math.nan, -1e-12):
-        with pytest.raises(pn.ConfigurationError, match="epsilon_singular"):
-            table1_topology(epsilon_singular=bad)
-    assert table1_topology(epsilon_singular=0.0).epsilon_singular == 0.0
 
 
 def test_all_quiet_run_is_identically_zero():
@@ -194,3 +179,33 @@ def test_huge_external_samples_stop_with_finite_records(stabilizer, amplitude):
         cells = (rec.t, rec.u_ext, rec.y, rec.x, rec.e_obs, rec.e_hat)
         cells += rec.u + rec.u_hat + rec.alpha + rec.dissipated
         assert all(math.isfinite(c) for c in cells)
+
+
+_Z = pn.ImpedanceTriple(10.0, 5.0, 400.0)
+
+SAMPLE_PERIOD_USERS = {
+    "allocate": lambda dt: pn.allocate(-1.0, np.ones(3), pn.WeightMatrix((1.0,) * 3), dt),
+    "DelayLine": lambda dt: pn.DelayLine(0.1, dt),
+    "FirstOrderLowpass.cutoff": lambda v: pn.FirstOrderLowpass(v, 0.001),
+    "FirstOrderLowpass.dt": lambda dt: pn.FirstOrderLowpass(20.0, dt),
+    "make_hub_admittance": lambda dt: pn.make_hub_admittance(TABLE1_HUB, dt),
+    "NodeState": lambda dt: pn.NodeState(_Z, dt),
+    "EnergyLedger": lambda dt: pn.EnergyLedger(dt, 1.0, 3),
+    "HoldLedger": lambda dt: HoldLedger(dt, 1.0, pn.make_hub_admittance(TABLE1_HUB, 0.001)),
+}
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("user", sorted(SAMPLE_PERIOD_USERS))
+def test_sample_period_outside_zero_to_inf_is_rejected(user, bad):
+    with pytest.raises(pn.ConfigurationError, match="must be positive and finite"):
+        SAMPLE_PERIOD_USERS[user](bad)
+
+
+def test_ledger_credit_and_line_length_must_be_finite():
+    for xi in (math.nan, math.inf, -1.0):
+        with pytest.raises(pn.SimulationFault, match="passivity index"):
+            pn.EnergyLedger(0.001, xi, 3)
+    for max_delay in (math.inf, math.nan, -0.1):
+        with pytest.raises(pn.ConfigurationError, match="maximum delay"):
+            pn.DelayLine(max_delay, 0.001)
