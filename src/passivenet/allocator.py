@@ -87,11 +87,11 @@ def allocate(e_obs: float, squared_outputs, weights: WeightMatrix, dt: float) ->
 
     inv_q = weights.inverse_diagonal()
     s_over_q = s * inv_q
-    denom = float(np.dot(s, s_over_q))          # S' Q^{-1} S
+    denom = math.fsum((s * s_over_q).tolist())  # S' Q^{-1} S, exactly rounded
     scale = float(s.max()) ** 2 * float(inv_q.sum())
     if scale <= 0.0 or denom <= EPSILON_SINGULAR * scale:
         return AllocationResult(zero, False, e_obs / dt)
 
     gains = s_over_q * ((-e_obs / dt) / denom)
-    residual = float(np.dot(gains, s)) + e_obs / dt
+    residual = math.fsum((gains * s).tolist()) + e_obs / dt
     return AllocationResult(gains, True, residual)

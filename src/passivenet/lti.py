@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
+from operator import mul
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import ConfigurationError, check_positive_finite
 
@@ -84,6 +85,8 @@ class HubState:
     ``step(force)`` returns (velocity, position) and then advances the state,
     so the returned velocity is independent of the force passed in.
     Position is the trapezoidal running integral of the velocity samples.
+    The matrices and the state are lists of floats and every product is an
+    exactly rounded ``math.fsum``, so a step gives the same bits on any CPU.
 
     ``hold_preview()`` gives the exact continuous-time motion under held
     forces.  With F held over the coming sample and F' over the one after,
@@ -95,51 +98,43 @@ class HubState:
     * it then travels ``next_travel + hold_carry * F + hold_travel * F'``.
     """
 
-    def __init__(
-        self,
-        a: np.ndarray,
-        b: np.ndarray,
-        c: np.ndarray,
-        dt: float,
-        travel_row: np.ndarray,
-        hold_travel: float,
-    ):
+    def __init__(self, a: list, b: list, c: list, dt: float, travel_row: list, hold_travel: float):
         self._a = a
         self._b = b
         self._c = c
-        self._x = np.zeros(a.shape[0])
+        self._x = [0.0] * len(b)
         self.dt = dt
         self._pos = 0.0
         self._prev_v = 0.0
-        self._preview_rows = np.vstack([travel_row, c @ a, travel_row @ a])
+        self._preview_rows = [travel_row, *_matmul([c, travel_row], a)]
         self.hold_travel = hold_travel
-        self.hold_velocity = float(c @ b)
-        self.hold_carry = float(travel_row @ b)
+        self.hold_velocity = math.fsum(map(mul, c, b))
+        self.hold_carry = math.fsum(map(mul, travel_row, b))
 
     def hold_preview(self) -> tuple[float, float, float]:
-        travel, next_velocity, next_travel = (self._preview_rows @ self._x).tolist()
-        return travel, next_velocity, next_travel
+        return tuple(math.fsum(map(mul, row, self._x)) for row in self._preview_rows)
 
     def velocity(self) -> float:
-        return float(self._c @ self._x)
+        return math.fsum(map(mul, self._c, self._x))
 
     def step(self, force: float) -> tuple[float, float]:
         v = self.velocity()
         self._pos += self.dt * (v + self._prev_v) / 2.0
         self._prev_v = v
-        self._x = self._a @ self._x + self._b * force
+        x = self._x
+        self._x = [math.fsum([*map(mul, row, x), bi * force]) for row, bi in zip(self._a, self._b)]
         return v, self._pos
 
 
 def make_hub_admittance(tf: ContinuousTF, dt: float) -> HubState:
     """Discretize a strictly proper admittance with a zero-order hold.
 
-    The realization is the controller-canonical form, built with the same
-    arithmetic as ``scipy.signal.tf2ss`` followed by
-    ``cont2discrete(method="zoh")``: (Ad, bd) are the top blocks of
-    expm(dt * [[A, b], [0, 0]]).  Unlike scipy, a leading numerator
-    coefficient of magnitude <= 1e-14 is kept, not trimmed.  A realization
-    that overflows is rejected.
+    The realization is the controller-canonical form of ``scipy.signal.tf2ss``,
+    with its arithmetic, so c is the same: A = [-den[1:]/den[0]; shifted I] and
+    b = e1.  One Van Loan exponential e^{dt[[A, I, 0], [0, 0, I], [0, 0, 0]]}
+    gives once = int_0^dt e^{As} ds and twice = int_0^dt int_0^s e^{Ar} dr ds,
+    so Ad = I + A once and bd = once b.  Unlike scipy, a leading numerator
+    coefficient of magnitude <= 1e-14 is kept.  Overflow is rejected.
     """
     check_positive_finite(dt)
     if not tf.strictly_proper:
@@ -148,40 +143,52 @@ def make_hub_admittance(tf: ContinuousTF, dt: float) -> HubState:
             "degree); a proper-but-not-strict model has direct feedthrough and closes "
             "an algebraic loop"
         )
-    # an overflow here is reported below as a ConfigurationError, not as warnings
-    with np.errstate(over="ignore", invalid="ignore"):
-        den = np.asarray(tf.den, dtype=float)
-        num = np.asarray(tf.num, dtype=float) / den[0]
-        den = den / den[0]
-        n = len(den) - 1
-        num = np.concatenate([np.zeros(n + 1 - len(num)), num])
-        a = np.vstack([-den[1:], np.eye(n - 1, n)])
-        b = np.eye(1, n)[0]
-        c = num[1:] - num[0] * den[1:]
-        block = np.zeros((n + 1, n + 1))
-        block[:n, :n] = a
-        block[:n, n] = b
-        top = expm(dt * block)[:n]
-        once, twice = _hold_integrals(a, dt)
-        travel_row = c @ once
-        hold_travel = float(c @ twice @ b)
-    if not all(np.isfinite(m).all() for m in (top, c, once, twice, travel_row, hold_travel)):
+    n = len(tf.den) - 1
+    den = [d / tf.den[0] for d in tf.den]
+    num = [0.0] * (n + 1 - len(tf.num)) + [v / tf.den[0] for v in tf.num]
+    eye, zero = [[float(i == j) for j in range(n)] for i in range(n)], [0.0] * n
+    a = [[-d for d in den[1:]]] + eye[:-1]
+    c = [v - num[0] * d for v, d in zip(num[1:], den[1:])]
+    block = [r + e + zero for r, e in zip(a, eye)] + [zero * 2 + e for e in eye] + [zero * 3] * n
+    try:  # fsum raises on an overflow or on inf - inf; either is a ConfigurationError
+        top = _expm([[dt * v for v in row] for row in block])[:n]
+        once, twice = [row[n:2 * n] for row in top], [row[2 * n:] for row in top]
+        ad = [[e + v for e, v in zip(*rows)] for rows in zip(eye, _matmul(a, once))]
+        travel_row = _matmul([c], once)[0]
+        hold_travel = _matmul([c], twice)[0][0]  # c twice b, as b = e1
+        if not all(map(math.isfinite, chain(c, travel_row, [hold_travel], *ad, *top))):
+            raise OverflowError
+    except (OverflowError, ValueError):
         raise ConfigurationError(
             f"hub realization is not finite at dt={dt!r}: a coefficient, or the "
             "growth of an unstable pole over one sample, overflows float range"
-        )
-    return HubState(top[:, :n], top[:, n], c, dt, travel_row, hold_travel)
+        ) from None
+    return HubState(ad, [row[0] for row in once], c, dt, travel_row, hold_travel)
 
 
-def _hold_integrals(a: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """(int_0^dt e^{As} ds, int_0^dt int_0^s e^{Ar} dr ds) from one block exponential."""
-    n = a.shape[0]
-    block = np.zeros((3 * n, 3 * n))
-    block[:n, :n] = a * dt
-    block[:n, n:2 * n] = np.eye(n) * dt
-    block[n:2 * n, 2 * n:] = np.eye(n) * dt
-    full = expm(block)
-    return full[:n, n:2 * n], full[:n, 2 * n:]
+def _matmul(p, q) -> list[list[float]]:
+    cols = list(zip(*q))
+    return [[math.fsum(map(mul, row, col)) for col in cols] for row in p]
+
+
+def _expm(m: list[list[float]]) -> list[list[float]]:
+    """e^M by an order-18 Taylor series with scaling and squaring.
+
+    The scaling brings max(||M^4||^(1/4), ||M^5||^(1/5)) (1-norm) to <= 1, so the
+    series truncates below 1e-17; ||M|| would overscale a hub's non-normal blocks
+    and cost accuracy (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31(3), 2009)."""
+    m2 = _matmul(m, m)
+    m4 = _matmul(m2, m2)
+    norms = [max(math.fsum(map(abs, col)) for col in zip(*p)) for p in (m4, _matmul(m4, m))]
+    size = max(norms[0] ** 0.25, norms[1] ** 0.2)
+    squarings = max(0, math.ceil(math.log2(size))) if size > 0.0 else 0
+    x = [[v / 2.0 ** squarings for v in row] for row in m]
+    result = eye = [[float(i == j) for j in range(len(m))] for i in range(len(m))]
+    for k in range(18, 0, -1):  # Horner: I + X (I + X/2 (... (I + X/18) ...))
+        result = [[e + v / k for e, v in zip(*rows)] for rows in zip(eye, _matmul(x, result))]
+    for _ in range(squarings):
+        result = _matmul(result, result)
+    return result
 
 
 class NodeState:

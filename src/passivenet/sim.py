@@ -186,8 +186,10 @@ class Simulation:
             NodeState(z, dt, topology.inertia_filter_cutoff) for z in topology.nodes
         ]
         self.leg_profiles = [p.halved() for p in topology.delays]
-        self.forward = [DelayLine(p.max_delay, dt) for p in self.leg_profiles]
-        self.backward = [DelayLine(p.max_delay, dt) for p in self.leg_profiles]
+        # a delay longer than the run only ever reads the cold-start 0
+        lengths = [min(p.max_delay, scenario.duration) for p in self.leg_profiles]
+        self.forward = [DelayLine(d, dt) for d in lengths]
+        self.backward = [DelayLine(d, dt) for d in lengths]
         cut = topology.command_filter_cutoff
         self.command_filters = (
             None if cut is None else [FirstOrderLowpass(cut, dt) for _ in range(m)]

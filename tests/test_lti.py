@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import os
 import subprocess
 import sys
@@ -8,6 +10,7 @@ import pytest
 from scipy.linalg import expm
 
 import passivenet as pn
+from passivenet.lti import _expm
 from passivenet.selfcheck import LINEAR_STATES, check_state_linearity
 
 from conftest import TABLE1_HUB
@@ -137,10 +140,30 @@ def _scipy_zoh(tf, dt):
     return ad, bd[:, 0], cd[0]
 
 
+def _hold_integrals(exponential, tf, dt):
+    """(once, twice) from ``exponential`` of the Van Loan block of scipy's realization."""
+    from scipy.signal import tf2ss
+
+    a = tf2ss(list(tf.num), list(tf.den))[0]
+    n = a.shape[0]
+    block = np.zeros((3 * n, 3 * n))
+    block[:n, :n] = a * dt
+    block[:n, n:2 * n] = np.eye(n) * dt
+    block[n:2 * n, 2 * n:] = np.eye(n) * dt
+    full = np.asarray(exponential(block))
+    return full[:n, n:2 * n], full[:n, 2 * n:]
+
+
 def _assert_realization_equals_scipy(tf, dt=0.001):
+    """c exactly; Ad, bd, once and twice within 1e-13 of scipy's, normwise."""
     hub = pn.make_hub_admittance(tf, dt)
-    for got, want in zip((hub._a, hub._b, hub._c), _scipy_zoh(tf, dt)):
-        assert np.array_equal(got, want), tf
+    want_ad, want_bd, want_c = _scipy_zoh(tf, dt)
+    assert np.array_equal(hub._c, want_c), tf
+    mine = (hub._a, hub._b, *_hold_integrals(lambda block: _expm(block.tolist()), tf, dt))
+    scipys = (want_ad, want_bd, *_hold_integrals(expm, tf, dt))
+    for name, got, want in zip(("Ad", "bd", "once", "twice"), mine, scipys):
+        err = np.abs(np.asarray(got) - want).max()
+        assert err <= 1e-13 * np.abs(want).max(), (name, tf)
 
 
 def _stable_random_hubs(count):
@@ -180,20 +203,44 @@ def test_overflowing_realization_is_rejected():
         pn.make_hub_admittance(pn.ContinuousTF((1e300,), (1e-300, 1.0)), 0.01)
 
 
-def test_building_a_run_leaves_scipy_signal_unloaded():
-    # scipy.signal costs most of the import time; the package must not pull it in
-    code = (
+def _run_python(code, **env):
+    """Run ``code`` in a fresh interpreter that imports this checkout's package."""
+    src = str(Path(pn.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path, **env)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_building_a_run_leaves_scipy_unloaded():
+    # scipy is a test-only dependency; the package must not pull any of it in
+    _run_python(
         "import sys, passivenet as pn\n"
         "cfg = pn.parse_config_file(pn.bundled_config_path('table1.cfg'))\n"
         "pn.build(cfg.topology, cfg.scenario)\n"
-        "loaded = sorted(m for m in sys.modules if m.startswith('scipy.signal'))\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
         "assert not loaded, loaded\n"
     )
-    src = str(Path(pn.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
+
+
+def _case1_records_digest() -> str:
+    cfg = pn.parse_config_file(pn.bundled_config_path("case1.cfg"))
+    scenario = dataclasses.replace(cfg.scenario, duration=2.0)
+    trace, _ = pn.build(cfg.topology, scenario).run()
+    return hashlib.sha256(repr(trace.records).encode()).hexdigest()
+
+
+def test_step_path_is_the_same_on_every_blas_kernel():
+    # the loop does no BLAS call, so forcing OpenBLAS's oldest x86-64 kernel
+    # must leave every bit of a stabilized run unchanged
+    tests = str(Path(__file__).parent)
+    code = (
+        f"import sys; sys.path.insert(0, {tests!r})\n"
+        "from test_lti import _case1_records_digest\n"
+        "print(_case1_records_digest())\n"
+    )
+    assert _run_python(code, OPENBLAS_CORETYPE="Prescott").strip() == _case1_records_digest()
 
 
 def test_hub_requires_strictly_proper():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -209,3 +210,18 @@ def test_ledger_credit_and_line_length_must_be_finite():
     for max_delay in (math.inf, math.nan, -0.1):
         with pytest.raises(pn.ConfigurationError, match="maximum delay"):
             pn.DelayLine(max_delay, 0.001)
+
+
+def test_delay_longer_than_the_run_reads_only_cold_start_zeros():
+    # each line holds at most the run's duration, so a huge finite delay costs no memory
+    cfg = pn.parse_config_file(pn.bundled_config_path("table1.cfg"))
+    scenario = dataclasses.replace(cfg.scenario, duration=2.0)
+
+    def records(offset):
+        first = dataclasses.replace(cfg.topology.delays[0], offset=offset)
+        topology = dataclasses.replace(cfg.topology, delays=(first, *cfg.topology.delays[1:]))
+        return pn.build(topology, scenario).run()[0].records
+
+    far = records(1e9)
+    assert len(far) == 2000 and all(rec.u[0] == 0.0 for rec in far)
+    assert far == records(2.5)  # a round trip of 2.5 s also never returns within 2 s
