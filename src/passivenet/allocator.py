@@ -7,7 +7,7 @@ When the observable energy goes negative the allocator solves
 for the per-port damping gains A, with Q a positive diagonal penalty and
 S the per-port squared outputs.  The closed form is the weighted
 pseudoinverse direction A = Q^{-1} S (S' Q^{-1} S)^{-1} (-E_obs/dt),
-computed elementwise as S_i/q_i so Q^{-1} is never formed as a matrix.
+computed elementwise in floats as S_i/q_i, so Q^{-1} is never formed.
 The equality constraint makes the controlled energy land exactly on zero;
 positive observable energy yields A = 0.
 """
@@ -16,10 +16,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
 
-from .errors import ConfigurationError, SimulationFault, check_positive_finite
+from .errors import ConfigurationError, SimulationFault, check_positive_finite, fold
 
 # S'Q^{-1}S at or below this fraction of max(S)^2 * sum(1/q) defers the deficit.
 # In the loop every port sees the one hub output, so the two are equal and only
@@ -38,15 +39,15 @@ class WeightMatrix:
             raise ConfigurationError("weight matrix diagonal must be nonempty")
         for q in self.diagonal:
             check_positive_finite(q, "weight matrix diagonal entry")
-        inverse = 1.0 / np.asarray(self.diagonal, dtype=float)
-        inverse.setflags(write=False)
+        inverse = tuple(1.0 / q for q in self.diagonal)
         object.__setattr__(self, "_inverse", inverse)
+        object.__setattr__(self, "_inverse_sum", fold(inverse))
 
     def __len__(self) -> int:
         return len(self.diagonal)
 
-    def inverse_diagonal(self) -> np.ndarray:
-        """1/q_i as a read-only array, computed once."""
+    def inverse_diagonal(self) -> tuple[float, ...]:
+        """1/q_i as a tuple of floats, computed once."""
         return self._inverse
 
 
@@ -71,27 +72,31 @@ def allocate(e_obs: float, squared_outputs, weights: WeightMatrix, dt: float) ->
     check_positive_finite(dt)
     if not math.isfinite(e_obs):
         raise SimulationFault(f"non-finite observable energy: {e_obs!r}")
-    s = np.asarray(squared_outputs, dtype=float)
-    if s.shape != (len(weights),):
+    m = len(weights)
+    s = squared_outputs
+    try:  # a flat sequence of numbers; a scalar or a nested one raises TypeError
+        s = s.tolist() if isinstance(s, np.ndarray) else list(s)
+        finite = all(map(math.isfinite, s))
+    except TypeError:
+        finite = None
+    if finite is None or len(s) != m:
         raise SimulationFault(
-            f"squared-output vector has shape {s.shape}, expected ({len(weights)},)"
+            f"squared-output vector has shape {np.shape(squared_outputs)}, expected ({m},)"
         )
-    if not np.isfinite(s).all():
-        raise SimulationFault(f"non-finite squared-output vector: {s!r}")
-    if s.min() < 0.0:
+    if not finite:
+        raise SimulationFault(
+            f"non-finite squared-output vector: {np.asarray(squared_outputs, dtype=float)!r}"
+        )
+    if min(s) < 0.0:
         raise SimulationFault("squared-output vector has a negative entry")
 
-    zero = np.zeros(len(weights))
-    if e_obs >= 0.0:
-        return AllocationResult(zero, False, e_obs / dt)
-
-    inv_q = weights.inverse_diagonal()
-    s_over_q = s * inv_q
-    denom = math.fsum((s * s_over_q).tolist())  # S' Q^{-1} S, exactly rounded
-    scale = float(s.max()) ** 2 * float(inv_q.sum())
-    if scale <= 0.0 or denom <= EPSILON_SINGULAR * scale:
-        return AllocationResult(zero, False, e_obs / dt)
-
-    gains = s_over_q * ((-e_obs / dt) / denom)
-    residual = math.fsum((gains * s).tolist()) + e_obs / dt
-    return AllocationResult(gains, True, residual)
+    if e_obs < 0.0:
+        s_over_q = [si * r for si, r in zip(s, weights.inverse_diagonal())]
+        denom = math.fsum(map(mul, s, s_over_q))  # S' Q^{-1} S, exactly rounded
+        scale = max(s) ** 2 * weights._inverse_sum
+        if scale > 0.0 and denom > EPSILON_SINGULAR * scale:
+            lam = (-e_obs / dt) / denom
+            gains = [v * lam for v in s_over_q]
+            residual = math.fsum(map(mul, gains, s)) + e_obs / dt
+            return AllocationResult(np.array(gains), True, residual)
+    return AllocationResult(np.zeros(m), False, e_obs / dt)

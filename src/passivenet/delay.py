@@ -5,8 +5,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ConfigurationError, check_positive_finite
 
 
@@ -40,7 +38,7 @@ class DelayProfile:
 
 
 class DelayLine:
-    """Ring buffer read with nearest-sample indexing.
+    """Ring buffer (a list of the pushed floats) read with nearest-sample indexing.
 
     Samples are pushed once per period; the read index for a requested delay
     d is the stored sample whose timestamp is nearest to t_now - d (ties
@@ -55,7 +53,7 @@ class DelayLine:
             )
         self.dt = check_positive_finite(dt)
         self.capacity = int(math.ceil(max_delay / dt)) + 2
-        self._buf = np.zeros(self.capacity)
+        self._buf = [0.0] * self.capacity
         self._n = 0  # index of the next push
 
     def push_and_sample(self, sample: float, t_now: float, d: float) -> float:
@@ -74,4 +72,4 @@ class DelayLine:
                 f"requested delay {d} exceeds the line capacity "
                 f"({self.capacity} samples at dt={self.dt})"
             )
-        return float(self._buf[k % self.capacity])
+        return self._buf[k % self.capacity]

@@ -62,6 +62,8 @@ class ImpedanceTriple:
     def __post_init__(self):
         if not all(math.isfinite(v) for v in (self.m, self.b, self.k)):
             raise ConfigurationError("impedance triple entries must be finite")
+        for name in ("m", "b", "k"):  # builtin floats, so no numpy scalar reaches a trace
+            object.__setattr__(self, name, float(getattr(self, name)))
 
 
 class FirstOrderLowpass:
@@ -83,7 +85,8 @@ class HubState:
 
     ``velocity()`` peeks at the output before any force is absorbed;
     ``step(force)`` returns (velocity, position) and then advances the state,
-    so the returned velocity is independent of the force passed in.
+    so the returned velocity is independent of the force passed in.  The
+    output c x is computed once per step, when the state advances.
     Position is the trapezoidal running integral of the velocity samples.
     The matrices and the state are lists of floats and every product is an
     exactly rounded ``math.fsum``, so a step gives the same bits on any CPU.
@@ -110,19 +113,21 @@ class HubState:
         self.hold_travel = hold_travel
         self.hold_velocity = math.fsum(map(mul, c, b))
         self.hold_carry = math.fsum(map(mul, travel_row, b))
+        self._v = math.fsum(map(mul, c, self._x))
 
     def hold_preview(self) -> tuple[float, float, float]:
         return tuple(math.fsum(map(mul, row, self._x)) for row in self._preview_rows)
 
     def velocity(self) -> float:
-        return math.fsum(map(mul, self._c, self._x))
+        return self._v
 
     def step(self, force: float) -> tuple[float, float]:
-        v = self.velocity()
+        v = self._v
         self._pos += self.dt * (v + self._prev_v) / 2.0
         self._prev_v = v
-        x = self._x
-        self._x = [math.fsum([*map(mul, row, x), bi * force]) for row, bi in zip(self._a, self._b)]
+        x = [math.fsum([*map(mul, row, self._x), bi * force]) for row, bi in zip(self._a, self._b)]
+        self._x = x
+        self._v = math.fsum(map(mul, self._c, x))  # c x, once per step
         return v, self._pos
 
 

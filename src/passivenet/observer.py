@@ -25,9 +25,7 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
-from .errors import SimulationFault, check_positive_finite
+from .errors import SimulationFault, check_positive_finite, fold
 
 # A predicted next sample within this fraction of the held-force speed of
 # zero counts as landing on the held force's side: it leaves the rounding of
@@ -46,7 +44,7 @@ class EnergyLedger:
         self.dt = check_positive_finite(dt)
         self.xi = _check_credit(xi)
         self.num_ports = num_ports
-        self.dissipated = np.zeros(num_ports)  # D_i, reporting only
+        self.dissipated = [0.0] * num_ports  # D_i, reporting only
         self.observable_energy = 0.0  # E_obs at the last ingest
         self.controlled_energy = 0.0  # E_hat
         self._y = 0.0
@@ -54,16 +52,16 @@ class EnergyLedger:
     @property
     def injected_energy(self) -> float:
         """D, the sum of the per-port dissipations D_i."""
-        return float(self.dissipated.sum())
+        return fold(self.dissipated)
 
     def ingest_step(self, y: float, u) -> float:
         """Accumulate one step of raw energy and return the observable energy.
 
-        ``y`` is the hub velocity, ``u`` the per-port raw feedback.  The hub
-        credit xi*y^2 enters once, not per port; injections recorded so far
-        (through step n-1) are included via E_hat[n-1].
+        ``y`` is the hub velocity, ``u`` the per-port raw feedback, a sequence
+        of floats.  The hub credit xi*y^2 enters once, not per port; injections
+        recorded so far (through step n-1) are included via E_hat[n-1].
         """
-        increment = self.dt * y * (self.xi * y + float(np.sum(u)))
+        increment = self.dt * y * (self.xi * y + fold(u))
         self._y = y
         self.observable_energy = self.controlled_energy + increment
         self.controlled_energy = self.observable_energy
@@ -71,9 +69,10 @@ class EnergyLedger:
 
     def record_injection(self, gains) -> None:
         """Add this step's dissipation dt*y^2*alpha_i to each D_i and to E_hat."""
-        injected = (self.dt * self._y * self._y) * np.asarray(gains, dtype=float)
-        self.dissipated += injected
-        self.controlled_energy = self.observable_energy + float(injected.sum())
+        w = self.dt * self._y * self._y
+        injected = [w * a for a in gains]
+        self.dissipated = [d + i for d, i in zip(self.dissipated, injected)]
+        self.controlled_energy = self.observable_energy + fold(injected)
 
 
 class HoldLedger:
@@ -170,7 +169,7 @@ def _check_credit(credit: float) -> float:
         raise SimulationFault(
             f"hub passivity index must be finite and nonnegative, got {credit!r}"
         )
-    return credit
+    return float(credit)
 
 
 def _along(quad, origin: float, direction: float, shift: float):

@@ -24,18 +24,13 @@ def write_trace(trace: Trace, path, decimation: int = 1) -> None:
     if decimation < 1:
         raise ConfigurationError("decimation must be >= 1")
     lines = [trace_header(trace.num_nodes)]
-    for rec in trace.records:
-        if rec.n % decimation != 0:
+    for n, t, u_ext, y, x, us, u_hats, alphas, ds, e_obs, e_hat in trace.records:
+        if n % decimation != 0:
             continue
-        cells = [str(rec.n), repr(rec.t), repr(rec.u_ext), repr(rec.y), repr(rec.x)]
-        for i in range(trace.num_nodes):
-            cells += [
-                repr(rec.u[i]),
-                repr(rec.u_hat[i]),
-                repr(rec.alpha[i]),
-                repr(rec.dissipated[i]),
-            ]
-        cells += [repr(rec.e_obs), repr(rec.e_hat)]
+        cells = [str(n), repr(t), repr(u_ext), repr(y), repr(x)]
+        for u, u_hat, alpha, d in zip(us, u_hats, alphas, ds):
+            cells += [repr(u), repr(u_hat), repr(alpha), repr(d)]
+        cells += [repr(e_obs), repr(e_hat)]
         lines.append(",".join(cells))
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -23,12 +23,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import NamedTuple
 
 from .allocator import WeightMatrix, allocate
 from .delay import DelayLine, DelayProfile
-from .errors import ConfigurationError, SimulationFault, check_positive_finite
+from .errors import ConfigurationError, SimulationFault, check_positive_finite, fold
 from .lti import (
     ContinuousTF,
     FirstOrderLowpass,
@@ -87,7 +86,7 @@ class Topology:
             ("command_filter_cutoff", self.command_filter_cutoff),
         ):
             if cut is not None:
-                check_positive_finite(cut, name)
+                object.__setattr__(self, name, check_positive_finite(cut, name))
 
     @property
     def num_nodes(self) -> int:
@@ -110,16 +109,18 @@ class Scenario:
                 f"unknown scenario kind {self.kind!r}; expected one of {SCENARIO_KINDS}"
             )
         check_positive_finite(self.duration, "scenario duration")
-        check_positive_finite(self.dt)
+        object.__setattr__(self, "dt", check_positive_finite(self.dt))
         if not 0.5 < self.duration / self.dt < math.inf:  # num_steps >= 1, and finite
             raise ConfigurationError("scenario must run at least one step, and finitely many")
         if not math.isfinite(self.amplitude):
             raise ConfigurationError("scenario amplitude must be finite")
+        object.__setattr__(self, "amplitude", float(self.amplitude))
         if self.kind == "external":
             if self.samples is None:
                 raise ConfigurationError("external scenario requires a samples array")
             if not all(math.isfinite(s) for s in self.samples):
                 raise ConfigurationError("external samples must be finite")
+            object.__setattr__(self, "samples", tuple(map(float, self.samples)))
         elif self.samples is not None:
             raise ConfigurationError(f"samples are only valid for kind 'external', not {self.kind!r}")
 
@@ -136,8 +137,7 @@ class Scenario:
         return self.samples[n] if n < len(self.samples) else 0.0
 
 
-@dataclass(frozen=True)
-class StepRecord:
+class StepRecord(NamedTuple):
     n: int
     t: float
     u_ext: float
@@ -176,29 +176,27 @@ class Simulation:
     def __init__(self, topology: Topology, scenario: Scenario):
         self.topology = topology
         self.scenario = scenario
-        m = topology.num_nodes
         dt = scenario.dt
         self.xi = (
             topology.xi if topology.xi is not None else estimate_osp_index(topology.hub)
         )
         self.hub = make_hub_admittance(topology.hub, dt)
-        self.nodes = [
-            NodeState(z, dt, topology.inertia_filter_cutoff) for z in topology.nodes
-        ]
-        self.leg_profiles = [p.halved() for p in topology.delays]
-        # a delay longer than the run only ever reads the cold-start 0
-        lengths = [min(p.max_delay, scenario.duration) for p in self.leg_profiles]
-        self.forward = [DelayLine(d, dt) for d in lengths]
-        self.backward = [DelayLine(d, dt) for d in lengths]
         cut = topology.command_filter_cutoff
-        self.command_filters = (
-            None if cut is None else [FirstOrderLowpass(cut, dt) for _ in range(m)]
-        )
-        self.ledger = EnergyLedger(dt, self.xi, m)
+        # per node: one leg's delay law, forward line, command filter, node, backward line
+        self.ports = []
+        for z, delay in zip(topology.nodes, topology.delays):
+            leg = delay.halved()
+            # a delay longer than the run only ever reads the cold-start 0
+            length = min(leg.max_delay, scenario.duration)
+            smooth = None if cut is None else FirstOrderLowpass(cut, dt)
+            node = NodeState(z, dt, topology.inertia_filter_cutoff)
+            self.ports.append((leg, DelayLine(length, dt), smooth, node, DelayLine(length, dt)))
+        self.ledger = EnergyLedger(dt, self.xi, topology.num_nodes)
         self.hold_ledger = HoldLedger(
             dt, self.xi if topology.xi is None else _hold_credit(topology.hub), self.hub
         )
         self._next_input = scenario.input_at(0)
+        self.num_steps = scenario.num_steps
         self.n = 0
 
     @property
@@ -206,46 +204,44 @@ class Simulation:
         return self.topology.num_nodes
 
     def step(self) -> StepRecord:
-        if self.n >= self.scenario.num_steps:
+        n = self.n
+        if n >= self.num_steps:
             raise SimulationFault("simulation already ran past its duration")
         topo, scen = self.topology, self.scenario
-        m = topo.num_nodes
         dt = scen.dt
-        n = self.n
         t = n * dt
 
         u_ext = self._next_input
         self._next_input = scen.input_at(n + 1)
         y = self.hub.velocity()
 
-        u = np.empty(m)
-        for i in range(m):
-            d_leg = self.leg_profiles[i].delay_at(t)
-            v = self.forward[i].push_and_sample(y, t, d_leg)
-            if self.command_filters is not None:
-                v = self.command_filters[i].filter(v)
-            f = self.nodes[i].step(v)
-            u[i] = self.backward[i].push_and_sample(f, t, d_leg)
+        u = []
+        for leg, forward, smooth, node, backward in self.ports:
+            d_leg = leg.delay_at(t)
+            v = forward.push_and_sample(y, t, d_leg)
+            if smooth is not None:
+                v = smooth.filter(v)
+            u.append(backward.push_and_sample(node.step(v), t, d_leg))
 
         e_obs = self.ledger.ingest_step(y, u)
         preview = self.hub.hold_preview()
         if topo.stabilizer_enabled:
             target = e_obs
             if y != 0.0:
-                raw = float(u.sum())
+                raw = fold(u)
                 floor = raw - e_obs / (dt * y) if e_obs < 0.0 else raw
                 held = self.hold_ledger.required_force(
                     y, raw, floor, u_ext, self._next_input, preview
                 )
                 if (held - floor) * y > 0.0:
                     target = -(held - raw) * y * dt
-            gains = allocate(target, np.full(m, y * y), topo.weights, dt).gains
-            u_hat = u + gains * y
+            gains = allocate(target, [y * y] * len(u), topo.weights, dt).gains.tolist()
+            u_hat = [ui + a * y for ui, a in zip(u, gains)]
         else:
-            gains = np.zeros(m)
+            gains = [0.0] * len(u)
             u_hat = u  # bit-exact pass-through, no -0.0 flips in the trace
 
-        net = float(u_hat.sum())
+        net = fold(u_hat)
         force = u_ext - net
         if not (math.isfinite(e_obs) and math.isfinite(force)):
             raise SimulationFault(
@@ -256,17 +252,8 @@ class Simulation:
         _, pos = self.hub.step(force)
         self.n = n + 1
         return StepRecord(
-            n=n,
-            t=t,
-            u_ext=u_ext,
-            y=y,
-            x=pos,
-            u=tuple(u.tolist()),
-            u_hat=tuple(u_hat.tolist()),
-            alpha=tuple(gains.tolist()),
-            dissipated=tuple(self.ledger.dissipated.tolist()),
-            e_obs=e_obs,
-            e_hat=self.ledger.controlled_energy,
+            n, t, u_ext, y, pos, tuple(u), tuple(u_hat), tuple(gains),
+            tuple(self.ledger.dissipated), e_obs, self.ledger.controlled_energy,
         )
 
     def run(self) -> tuple[Trace, SummaryMetrics]:
@@ -276,7 +263,7 @@ class Simulation:
         """
         trace = Trace(dt=self.scenario.dt, xi=self.xi, num_nodes=self.num_nodes)
         diverged = False
-        while self.n < self.scenario.num_steps:
+        while self.n < self.num_steps:
             try:
                 rec = self.step()
             except SimulationFault:
@@ -295,7 +282,7 @@ def summarize(trace: Trace, diverged: bool) -> SummaryMetrics:
         zeros = (0.0,) * trace.num_nodes
         return SummaryMetrics(diverged, 0.0, 0.0, zeros, zeros, 0.0, 0)
     dissipated = records[-1].dissipated
-    total = sum(dissipated)
+    total = fold(dissipated)
     if total > 0.0:
         shares = tuple(d / total for d in dissipated)
     else:

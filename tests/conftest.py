@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 import passivenet as pn
@@ -28,6 +29,28 @@ def table1_topology(**overrides) -> pn.Topology:
     )
     kwargs.update(overrides)
     return pn.Topology(**kwargs)
+
+
+def sixty_four_node_topology() -> pn.Topology:
+    """table1's passive triples scaled by 3/M * U[0.5, 2], a random half of
+    them sign-flipped, round-trip delays of 50-150 ms, log-uniform weights."""
+    rng = np.random.default_rng(64)
+    m = 64
+    flipped = set(rng.permutation(m)[: m // 2].tolist())
+    triples = ((10.0, 5.0, 400.0), (10.0, 5.0, 400.0), (20.0, 10.0, 800.0))
+    nodes = []
+    for i in range(m):
+        scale = 3.0 / m * rng.uniform(0.5, 2.0) * (-1.0 if i in flipped else 1.0)
+        nodes.append(pn.ImpedanceTriple(*(scale * v for v in triples[i % 3])))
+    offsets = rng.uniform(0.05, 0.15, m)
+    return pn.Topology(
+        hub=TABLE1_HUB,
+        nodes=tuple(nodes),
+        delays=tuple(pn.DelayProfile(o, o / 4.0, 20.0) for o in offsets),
+        weights=pn.WeightMatrix(tuple(10.0 ** rng.uniform(-2.0, 2.0, m))),
+        xi=0.0,
+        command_filter_cutoff=15.0,
+    )
 
 
 @pytest.fixture(scope="session")

@@ -1,8 +1,10 @@
 import dataclasses
 import hashlib
+import math
 import os
 import subprocess
 import sys
+from operator import mul
 from pathlib import Path
 
 import numpy as np
@@ -130,6 +132,18 @@ def test_hold_preview_matches_dense_travel(tf):
     )
     hub.step(force)
     assert hub.velocity() == pytest.approx(float(c @ x1), rel=1e-9)
+
+
+def test_velocity_is_the_output_of_the_current_state():
+    # step() computes c x once, after it advances the state; velocity() reads it back
+    rng = np.random.default_rng(13)
+    hub = pn.make_hub_admittance(TABLE1_HUB, 0.001)
+    for f in rng.normal(scale=50.0, size=200):
+        y = hub.velocity()
+        assert y == math.fsum(map(mul, hub._c, hub._x))
+        v, _ = hub.step(float(f))
+        assert v == y
+    assert hub.velocity() == math.fsum(map(mul, hub._c, hub._x)) != 0.0
 
 
 def _scipy_zoh(tf, dt):

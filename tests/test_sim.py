@@ -5,10 +5,17 @@ import numpy as np
 import pytest
 
 import passivenet as pn
+from passivenet.errors import fold
 from passivenet.observer import HoldLedger
 from passivenet.selfcheck import passive_topology
 
-from conftest import TABLE1_DELAYS, TABLE1_HUB, table1_topology
+from conftest import (
+    TABLE1_DELAYS,
+    TABLE1_HUB,
+    TABLE1_NODES,
+    sixty_four_node_topology,
+    table1_topology,
+)
 
 
 def test_build_estimates_hub_index():
@@ -126,6 +133,61 @@ def test_dissipated_is_nondecreasing_and_sums_to_ledger():
         assert all(d >= p for d, p in zip(rec.dissipated, prev))
         prev = rec.dissipated
     assert sum(prev) == pytest.approx(sim.ledger.injected_energy, rel=1e-12, abs=1e-300)
+
+
+def test_fold_is_plain_left_to_right():
+    # Python 3.12's builtin sum compensates and gives 1.0 here; math.fsum gives 1.0 too
+    assert fold([1e16, 1.0, -1e16]) == 0.0
+    acc = 0.0
+    for _ in range(10):
+        acc += 0.1
+    assert fold([0.1] * 10) == acc != 1.0  # the exactly rounded sum is 1.0
+    rec = pn.StepRecord(0, 0.0, 0.0, 0.0, 0.0, (0.0,) * 3, (0.0,) * 3, (0.0,) * 3,
+                        (1e16, 1.0, -1e16), 0.0, 0.0)
+    metrics = pn.summarize(pn.Trace(records=[rec], dt=0.001, num_nodes=3), False)
+    assert metrics.total_injected == 0.0 and metrics.shares == (0.0, 0.0, 0.0)
+
+
+def _numpy_scalar_inputs():
+    f = np.float64
+    nodes = tuple(pn.ImpedanceTriple(*np.array([z.m, z.b, z.k])) for z in TABLE1_NODES)
+    topo = table1_topology(nodes=nodes, xi=f(12.0), inertia_filter_cutoff=f(20.0),
+                           command_filter_cutoff=f(15.0))
+    return topo, pn.Scenario(kind="dual-sine", duration=f(1.0), dt=f(0.001), amplitude=f(20.0))
+
+
+def _bundled_second(name):
+    cfg = pn.parse_config_file(pn.bundled_config_path(name))
+    return cfg.topology, dataclasses.replace(cfg.scenario, duration=1.0)
+
+
+RECORD_RUNS = {
+    "table1": lambda: _bundled_second("table1.cfg"),
+    "table1_nostab": lambda: _bundled_second("table1_nostab.cfg"),
+    "sixty_four_nodes": lambda: (
+        sixty_four_node_topology(),
+        pn.Scenario(kind="dual-sine", duration=1.0, dt=0.001, amplitude=20.0),
+    ),
+    "numpy_scalar_inputs": _numpy_scalar_inputs,
+}
+
+
+@pytest.mark.parametrize("run", sorted(RECORD_RUNS))
+def test_records_hold_only_builtin_numbers(run, tmp_path):
+    # a numpy scalar in a record would be written as np.float64(...) under numpy 2
+    topo, scen = RECORD_RUNS[run]()
+    trace, _ = pn.build(topo, scen).run()
+    assert trace.records
+    for rec in trace.records:
+        assert type(rec.n) is int
+        for name in ("t", "u_ext", "y", "x", "e_obs", "e_hat"):
+            assert type(getattr(rec, name)) is float, name
+        for name in ("u", "u_hat", "alpha", "dissipated"):
+            cells = getattr(rec, name)
+            assert type(cells) is tuple and len(cells) == topo.num_nodes, name
+            assert all(type(v) is float for v in cells), name
+    pn.write_trace(trace, tmp_path / "trace.csv")
+    assert "np." not in (tmp_path / "trace.csv").read_text()
 
 
 def test_scenario_validation():
