@@ -18,8 +18,6 @@ import math
 from dataclasses import dataclass
 from operator import mul
 
-import numpy as np
-
 from .errors import ConfigurationError, SimulationFault, check_positive_finite, fold
 
 # S'Q^{-1}S at or below this fraction of max(S)^2 * sum(1/q) defers the deficit.
@@ -37,9 +35,11 @@ class WeightMatrix:
     def __post_init__(self):
         if len(self.diagonal) == 0:
             raise ConfigurationError("weight matrix diagonal must be nonempty")
-        for q in self.diagonal:
-            check_positive_finite(q, "weight matrix diagonal entry")
-        inverse = tuple(1.0 / q for q in self.diagonal)
+        diagonal = tuple(
+            check_positive_finite(q, "weight matrix diagonal entry") for q in self.diagonal
+        )
+        inverse = tuple(1.0 / q for q in diagonal)
+        object.__setattr__(self, "diagonal", diagonal)  # builtin floats, as the gains are
         object.__setattr__(self, "_inverse", inverse)
         object.__setattr__(self, "_inverse_sum", fold(inverse))
 
@@ -55,7 +55,7 @@ class WeightMatrix:
 class AllocationResult:
     """Damping gains, whether the deficit branch fired, and A'S + E_obs/dt."""
 
-    gains: np.ndarray
+    gains: tuple[float, ...]
     fired: bool
     constraint_residual: float
 
@@ -69,24 +69,23 @@ def allocate(e_obs: float, squared_outputs, weights: WeightMatrix, dt: float) ->
     decision invariant under rescaling of Q or of the output units and
     means any genuinely nonzero S fires.
     """
-    check_positive_finite(dt)
+    dt = check_positive_finite(dt)
     if not math.isfinite(e_obs):
         raise SimulationFault(f"non-finite observable energy: {e_obs!r}")
-    m = len(weights)
-    s = squared_outputs
-    try:  # a flat sequence of numbers; a scalar or a nested one raises TypeError
-        s = s.tolist() if isinstance(s, np.ndarray) else list(s)
+    e_obs, m = float(e_obs), len(weights)
+    try:  # a flat sequence of numbers; a scalar, a string or a nested one raises TypeError
+        s = list(squared_outputs)
         finite = all(map(math.isfinite, s))
     except TypeError:
         finite = None
     if finite is None or len(s) != m:
         raise SimulationFault(
-            f"squared-output vector has shape {np.shape(squared_outputs)}, expected ({m},)"
+            f"squared-output vector must be a flat sequence of {m} numbers, "
+            f"got {squared_outputs!r}"
         )
     if not finite:
-        raise SimulationFault(
-            f"non-finite squared-output vector: {np.asarray(squared_outputs, dtype=float)!r}"
-        )
+        raise SimulationFault(f"non-finite squared-output vector: {s!r}")
+    s = list(map(float, s))  # builtin floats, so the gains are too
     if min(s) < 0.0:
         raise SimulationFault("squared-output vector has a negative entry")
 
@@ -96,7 +95,7 @@ def allocate(e_obs: float, squared_outputs, weights: WeightMatrix, dt: float) ->
         scale = max(s) ** 2 * weights._inverse_sum
         if scale > 0.0 and denom > EPSILON_SINGULAR * scale:
             lam = (-e_obs / dt) / denom
-            gains = [v * lam for v in s_over_q]
+            gains = tuple([v * lam for v in s_over_q])
             residual = math.fsum(map(mul, gains, s)) + e_obs / dt
-            return AllocationResult(np.array(gains), True, residual)
-    return AllocationResult(np.zeros(m), False, e_obs / dt)
+            return AllocationResult(gains, True, residual)
+    return AllocationResult((0.0,) * m, False, e_obs / dt)

@@ -14,10 +14,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 from itertools import chain
 from operator import mul
-
-import numpy as np
 
 from .errors import ConfigurationError, check_positive_finite
 
@@ -40,15 +39,6 @@ class ContinuousTF:
     @property
     def strictly_proper(self) -> bool:
         return len(self.num) < len(self.den)
-
-    @property
-    def poles(self) -> np.ndarray:
-        return np.roots(self.den)
-
-    def freq_response(self, omega) -> np.ndarray:
-        """Evaluate the transfer function at s = j*omega."""
-        s = 1j * np.asarray(omega, dtype=float)
-        return np.polyval(self.num, s) / np.polyval(self.den, s)
 
 
 @dataclass(frozen=True)
@@ -225,9 +215,33 @@ class NodeState:
         return z.m * dv + z.b * v + z.k * self._integral
 
 
-def default_osp_grid() -> np.ndarray:
-    """Log-spaced frequency grid for the passivity-index sweep."""
-    return np.logspace(-3.0, 4.0, 1000)
+def default_osp_grid() -> tuple[float, ...]:
+    """1000 log-spaced frequencies, 1e-3 to 1e4, at numpy's ``linspace`` exponents bit for bit."""
+    return (*(10.0 ** (k * (7.0 / 999) - 3.0) for k in range(999)), 10.0 ** 4.0)
+
+
+def _rhp_root_count(den) -> int:
+    """Roots of den (descending powers) with Re > 0, by Routh-Hurwitz.
+
+    Roots at 0 (trailing zeros) are stripped, so an integrator counts none.  A zero
+    row is replaced by the derivative of the auxiliary polynomial in the row above
+    it.  A zero lead in any other row becomes a small epsilon (the epsilon method),
+    which may count an imaginary-axis pair met after it as two unstable roots."""
+    coeffs = list(den)
+    while coeffs[-1] == 0.0:
+        coeffs.pop()
+    above, row = coeffs[0::2], coeffs[1::2]
+    leads = [above[0]]
+    for k in range(len(coeffs) - 1, 0, -1):  # above is the s^k row, row the s^(k-1) row
+        if not any(row):
+            row = [(k - 2 * i) * c for i, c in enumerate(above)]
+        if row[0] == 0.0:
+            row[0] = 1e-9 * max(map(abs, row))
+        leads.append(row[0])
+        above, row = row, [
+            (row[0] * a - above[0] * r) / row[0] for a, r in zip(above[1:], row[1:] + [0.0])
+        ]
+    return sum((a < 0.0) != (b < 0.0) for a, b in zip(leads, leads[1:]))
 
 
 def estimate_osp_index(tf: ContinuousTF, omega_grid=None) -> float:
@@ -236,25 +250,34 @@ def estimate_osp_index(tf: ContinuousTF, omega_grid=None) -> float:
     Returns min over the grid of Re{Y(jw)} / |Y(jw)|^2, clamped to 0 if the
     ratio goes negative anywhere (the model then contributes no guaranteed
     passive capacity).  Models with right-half-plane poles are rejected;
-    poles on the imaginary axis are tolerated because the grid is positive
-    and finite.
+    poles on the imaginary axis are tolerated, but not a grid point on one,
+    or on an imaginary-axis zero.
     """
-    if omega_grid is None:
-        omega_grid = default_osp_grid()
-    omega = np.asarray(omega_grid, dtype=float)
-    if omega.size == 0:
-        raise ConfigurationError("frequency grid must be nonempty")
-    if not np.all(np.isfinite(omega)) or np.any(omega <= 0.0):
-        raise ConfigurationError("frequency grid must be positive and finite")
-    if len(tf.den) > 1 and np.any(tf.poles.real > 0.0):
-        raise ConfigurationError("passivity index is undefined for an unstable model")
-    resp = tf.freq_response(omega)
-    mag2 = np.abs(resp) ** 2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = resp.real / mag2
-    if not np.all(np.isfinite(ratio)):
+    try:  # a flat sequence of numbers; a scalar, a string or a nested one raises TypeError
+        grid = list(default_osp_grid() if omega_grid is None else omega_grid)
+        ok = len(grid) > 0 and all(math.isfinite(w) and w > 0.0 for w in grid)
+    except TypeError:
+        ok = False
+    if not ok:
         raise ConfigurationError(
-            "frequency response vanishes on the grid; choose grid points away "
-            "from imaginary-axis zeros"
+            "frequency grid must be a nonempty flat sequence of finite positive numbers"
         )
-    return max(0.0, float(ratio.min()))
+    if _rhp_root_count(tf.den):
+        raise ConfigurationError("passivity index is undefined for an unstable model")
+    worst = math.inf
+    for w in grid:
+        s = complex(0.0, w)  # numpy's 1j * w; then Horner, as np.polyval
+        n, d = (reduce(lambda acc, c: acc * s + c, p, 0j) for p in (tf.num, tf.den))
+        if n == 0.0 or d == 0.0:
+            raise ConfigurationError(
+                f"frequency grid point {w!r} is on an imaginary-axis pole or zero of the model"
+            )
+        y = n / d
+        try:  # abs() raises on a magnitude past float range, the division on one below it
+            ratio = y.real / (abs(y) * abs(y))
+        except (OverflowError, ZeroDivisionError):
+            ratio = math.nan
+        if not math.isfinite(ratio):
+            raise ConfigurationError(f"frequency response overflows or vanishes at {w!r}")
+        worst = min(worst, ratio)
+    return max(0.0, worst)

@@ -1,17 +1,17 @@
 """The invariant suite, run by the CLI's --seed-check and by the tests.
 
-Each check is written once, here. It builds its own RNG from a fixed seed,
-so its instances do not depend on which checks ran before it, and raises
-:class:`CheckFailed` at the first violation. Together the checks cover the
-allocator's constraint, nonnegativity, weight-scaling invariance and 1/q
-share law, the ledger's bookkeeping identity, the delay line, the hub's
-zero feedthrough, the linearity of the hub and the nodes, and the passive
-zero-delay baseline.
+Each check is written once, here. It builds its own ``random.Random`` from
+a fixed seed, so its instances do not depend on which checks ran before it,
+and raises :class:`CheckFailed` at the first violation. Together the checks
+cover the allocator's constraint, nonnegativity, weight-scaling invariance
+and 1/q share law, the ledger's bookkeeping identity, the delay line, the
+hub's zero feedthrough, the linearity of the hub and the nodes, and the
+passive zero-delay baseline.
 """
 
 from __future__ import annotations
 
-import numpy as np
+import random
 
 from .allocator import WeightMatrix, allocate
 from .delay import DelayLine, DelayProfile
@@ -33,11 +33,11 @@ def _expect(ok, message: str) -> None:
 
 def random_allocation(rng):
     """A random deficit instance (E_obs, S, Q, dt) over many decades."""
-    m = int(rng.integers(1, 7))
-    e_obs = -float(10.0 ** rng.uniform(-3.0, 3.0))
-    s = rng.uniform(0.0, 10.0, m)
-    q = WeightMatrix(tuple(10.0 ** rng.uniform(-4.0, 4.0, m)))
-    dt = float(10.0 ** rng.uniform(-4.0, 0.0))
+    m = rng.randint(1, 6)
+    e_obs = -(10.0 ** rng.uniform(-3.0, 3.0))
+    s = [rng.uniform(0.0, 10.0) for _ in range(m)]
+    q = WeightMatrix(tuple(10.0 ** rng.uniform(-4.0, 4.0) for _ in range(m)))
+    dt = 10.0 ** rng.uniform(-4.0, 0.0)
     return e_obs, s, q, dt
 
 
@@ -56,16 +56,16 @@ def passive_topology() -> Topology:
 
 
 def check_allocator_constraint() -> None:
-    rng = np.random.default_rng(31)
+    rng = random.Random(31)
     fired = 0
     for _ in range(2000):
         e_obs, s, q, dt = random_allocation(rng)
         res = allocate(e_obs, s, q, dt)
         if not res.fired:
-            _expect(np.all(s == 0.0), f"deferred with S = {s!r}")
+            _expect(not any(s), f"deferred with S = {s!r}")
             continue
         fired += 1
-        _expect(np.all(res.gains >= 0.0), f"negative gain in {res.gains!r}")
+        _expect(min(res.gains) >= 0.0, f"negative gain in {res.gains!r}")
         _expect(
             abs(res.constraint_residual) <= 1e-9 * abs(e_obs / dt),
             f"residual {res.constraint_residual!r} for E_obs/dt = {e_obs / dt!r}",
@@ -74,79 +74,79 @@ def check_allocator_constraint() -> None:
 
 
 def check_allocator_scaling() -> None:
-    rng = np.random.default_rng(32)
+    rng = random.Random(32)
     for _ in range(500):
-        m = int(rng.integers(1, 7))
-        e_obs = -float(10.0 ** rng.uniform(-2.0, 2.0))
-        s = rng.uniform(0.1, 10.0, m)
-        qd = 10.0 ** rng.uniform(-3.0, 3.0, m)
-        c = float(10.0 ** rng.uniform(-3.0, 3.0))
+        m = rng.randint(1, 6)
+        e_obs = -(10.0 ** rng.uniform(-2.0, 2.0))
+        s = [rng.uniform(0.1, 10.0) for _ in range(m)]
+        qd = [10.0 ** rng.uniform(-3.0, 3.0) for _ in range(m)]
+        c = 10.0 ** rng.uniform(-3.0, 3.0)
         a1 = allocate(e_obs, s, WeightMatrix(tuple(qd)), 1e-3).gains
-        a2 = allocate(e_obs, s, WeightMatrix(tuple(c * qd)), 1e-3).gains
+        a2 = allocate(e_obs, s, WeightMatrix(tuple(c * q for q in qd)), 1e-3).gains
         _expect(
-            np.all(np.abs(a2 - a1) <= 1e-12 * np.abs(a1)),
+            all(abs(x2 - x1) <= 1e-12 * abs(x1) for x1, x2 in zip(a1, a2)),
             f"Q scaled by {c!r} moved the gains from {a1!r} to {a2!r}",
         )
 
 
 def check_share_law() -> None:
-    rng = np.random.default_rng(35)
+    rng = random.Random(35)
     for _ in range(500):
-        m = int(rng.integers(2, 7))
-        s_val = float(rng.uniform(0.01, 10.0))
-        qd = 10.0 ** rng.uniform(-3.0, 3.0, m)
-        res = allocate(-2.0, np.full(m, s_val), WeightMatrix(tuple(qd)), 1e-2)
+        m = rng.randint(2, 6)
+        s_val = rng.uniform(0.01, 10.0)
+        qd = [10.0 ** rng.uniform(-3.0, 3.0) for _ in range(m)]
+        res = allocate(-2.0, [s_val] * m, WeightMatrix(tuple(qd)), 1e-2)
         _expect(res.fired, f"deferred with S = {s_val!r}")
-        prods = res.gains * qd
+        prods = [a * q for a, q in zip(res.gains, qd)]
         _expect(
-            np.all(np.abs(prods - prods[0]) <= 1e-12 * abs(prods[0])),
+            all(abs(p - prods[0]) <= 1e-12 * abs(prods[0]) for p in prods),
             f"alpha_i * q_i not constant: {prods!r}",
         )
 
 
 def check_ledger_identity() -> None:
     # each increment equals dt*(xi*y^2 + u_hat . y) with u_hat = u + alpha*y
-    rng = np.random.default_rng(21)
+    rng = random.Random(21)
     dt, xi, m = 1e-3, 7.5, 4
     ledger = EnergyLedger(dt, xi, m)
     prev = 0.0
     for n in range(2000):
-        y = float(rng.normal())
-        u = rng.normal(size=m)
+        y = rng.gauss(0.0, 1.0)
+        u = [rng.gauss(0.0, 1.0) for _ in range(m)]
         ledger.ingest_step(y, u)
-        gains = np.abs(rng.normal(size=m))
+        gains = [abs(rng.gauss(0.0, 1.0)) for _ in range(m)]
         ledger.record_injection(gains)
-        u_hat = u + gains * y
-        expected = dt * (xi * y * y + float(np.dot(u_hat, np.full(m, y))))
+        u_hat = [ui + a * y for ui, a in zip(u, gains)]
+        expected = dt * (xi * y * y + sum(v * y for v in u_hat))
         got = ledger.controlled_energy - prev
         _expect(abs(got - expected) <= 1e-12, f"step {n}: increment {got!r} != {expected!r}")
         prev = ledger.controlled_energy
 
 
 def check_delay_shift() -> None:
-    rng = np.random.default_rng(11)
+    rng = random.Random(11)
     dt = 0.01
     line = DelayLine(0.1, dt)
-    samples = rng.normal(size=400)
+    samples = [rng.gauss(0.0, 1.0) for _ in range(400)]
     for n, sample in enumerate(samples):
-        out = line.push_and_sample(float(sample), n * dt, 0.1)
-        expected = float(samples[n - 10]) if n >= 10 else 0.0
+        out = line.push_and_sample(sample, n * dt, 0.1)
+        expected = samples[n - 10] if n >= 10 else 0.0
         _expect(out == expected, f"sample {n}: {out!r} != {expected!r}")
 
 
 def check_hub_feedthrough() -> None:
     # Two hubs share a history, then receive different forces at step n:
     # the velocities returned at n must be identical (no feedthrough).
-    rng = np.random.default_rng(7)
+    rng = random.Random(7)
     for _ in range(20):
         hub_a = make_hub_admittance(HUB, 1e-3)
         hub_b = make_hub_admittance(HUB, 1e-3)
-        for _ in range(int(rng.integers(1, 100))):
-            f = float(rng.normal())
+        for _ in range(rng.randint(1, 99)):
+            f = rng.gauss(0.0, 1.0)
             hub_a.step(f)
             hub_b.step(f)
-        va, _ = hub_a.step(float(rng.normal()))
-        vb, _ = hub_b.step(float(rng.normal()) + 1e9)
+        va, _ = hub_a.step(rng.gauss(0.0, 1.0))
+        vb, _ = hub_b.step(rng.gauss(0.0, 1.0) + 1e9)
         _expect(va == vb, f"velocity {va!r} != {vb!r} after different forces")
 
 
@@ -165,15 +165,15 @@ LINEAR_STATES = (
 
 def check_state_linearity(make, name: str = "state") -> None:
     """Superposition for the states that ``make`` builds, over 400 samples."""
-    rng = np.random.default_rng(5)
-    u1 = rng.normal(size=400)
-    u2 = rng.normal(size=400)
+    rng = random.Random(5)
+    u1 = [rng.gauss(0.0, 1.0) for _ in range(400)]
+    u2 = [rng.gauss(0.0, 1.0) for _ in range(400)]
     a, b = 1.7, -0.6
     s1, s2, s3 = make(), make(), make()
     for x1, x2 in zip(u1, u2):
-        y1 = _output(s1.step(float(x1)))
-        y2 = _output(s2.step(float(x2)))
-        y3 = _output(s3.step(float(a * x1 + b * x2)))
+        y1 = _output(s1.step(x1))
+        y2 = _output(s2.step(x2))
+        y3 = _output(s3.step(a * x1 + b * x2))
         want = a * y1 + b * y2
         _expect(
             abs(y3 - want) <= max(1e-9 * abs(want), 1e-12),

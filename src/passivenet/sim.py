@@ -235,7 +235,7 @@ class Simulation:
                 )
                 if (held - floor) * y > 0.0:
                     target = -(held - raw) * y * dt
-            gains = allocate(target, [y * y] * len(u), topo.weights, dt).gains.tolist()
+            gains = allocate(target, [y * y] * len(u), topo.weights, dt).gains
             u_hat = [ui + a * y for ui, a in zip(u, gains)]
         else:
             gains = [0.0] * len(u)

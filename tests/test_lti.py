@@ -1,5 +1,4 @@
-import dataclasses
-import hashlib
+import json
 import math
 import os
 import subprocess
@@ -12,7 +11,7 @@ import pytest
 from scipy.linalg import expm
 
 import passivenet as pn
-from passivenet.lti import _expm
+from passivenet.lti import _expm, _rhp_root_count
 from passivenet.selfcheck import LINEAR_STATES, check_state_linearity
 
 from conftest import TABLE1_HUB
@@ -227,34 +226,31 @@ def _run_python(code, **env):
     return proc.stdout
 
 
-def test_building_a_run_leaves_scipy_unloaded():
-    # scipy is a test-only dependency; the package must not pull any of it in
+def test_building_a_run_leaves_scipy_unloaded(tmp_path):
+    # numpy and scipy are test-only dependencies: with numpy blocked, the CLI
+    # runs, writes its files and self-checks, and loads neither
+    case1 = json.loads(pn.bundled_config_path("case1.cfg").read_text())
+    case1["scenario"]["duration"] = 2.0
+    short = tmp_path / "case1_2s.cfg"
+    short.write_text(json.dumps(case1))
+    runs = [
+        ["--config", "table1.cfg"],
+        ["--config", str(short)],
+        ["--config", "table1.cfg", "--seed-check"],
+    ]
     _run_python(
-        "import sys, passivenet as pn\n"
-        "cfg = pn.parse_config_file(pn.bundled_config_path('table1.cfg'))\n"
-        "pn.build(cfg.topology, cfg.scenario)\n"
-        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from passivenet.cli import main\n"
+        f"for args in {runs!r}:\n"
+        f"    assert main(args + ['--out', {str(tmp_path)!r}]) == 0, args\n"
+        "loaded = sorted(m for m, mod in sys.modules.items()\n"
+        "                if mod is not None and m.split('.')[0] in ('numpy', 'scipy'))\n"
         "assert not loaded, loaded\n"
     )
-
-
-def _case1_records_digest() -> str:
-    cfg = pn.parse_config_file(pn.bundled_config_path("case1.cfg"))
-    scenario = dataclasses.replace(cfg.scenario, duration=2.0)
-    trace, _ = pn.build(cfg.topology, scenario).run()
-    return hashlib.sha256(repr(trace.records).encode()).hexdigest()
-
-
-def test_step_path_is_the_same_on_every_blas_kernel():
-    # the loop does no BLAS call, so forcing OpenBLAS's oldest x86-64 kernel
-    # must leave every bit of a stabilized run unchanged
-    tests = str(Path(__file__).parent)
-    code = (
-        f"import sys; sys.path.insert(0, {tests!r})\n"
-        "from test_lti import _case1_records_digest\n"
-        "print(_case1_records_digest())\n"
-    )
-    assert _run_python(code, OPENBLAS_CORETYPE="Prescott").strip() == _case1_records_digest()
+    for name in ("table1_trace.csv", "table1_summary.txt", "case1_trace.csv", "case1_summary.txt"):
+        assert (tmp_path / name).stat().st_size > 0
+    assert len((tmp_path / "case1_trace.csv").read_text().splitlines()) == 2001  # header + 2 s
 
 
 def test_hub_requires_strictly_proper():
@@ -348,6 +344,69 @@ def test_osp_index_rejects_bad_grid():
         pn.estimate_osp_index(TABLE1_HUB, [0.0, 1.0])
     with pytest.raises(pn.ConfigurationError):
         pn.estimate_osp_index(TABLE1_HUB, [])
+    for grid in ([[1.0, 2.0]], np.ones((3, 1)), "123", 5.0, [1.0, None]):
+        with pytest.raises(pn.ConfigurationError, match="flat sequence"):
+            pn.estimate_osp_index(TABLE1_HUB, grid)
+
+
+def test_osp_index_rejects_grid_point_on_an_axis_pole_or_zero():
+    axis_pole, axis_zero = ((1.0,), (1.0, 0.0, 1.0)), ((1.0, 0.0, 1.0), (1.0, 3.0, 3.0, 1.0))
+    for num, den in (axis_pole, axis_zero):
+        with pytest.raises(pn.ConfigurationError, match="1.0 is on an imaginary-axis pole or zero"):
+            pn.estimate_osp_index(pn.ContinuousTF(num, den), [0.5, 1.0])
+    # a response below or past float range fails closed instead of dividing by zero
+    for tf in (pn.ContinuousTF((1e-200,), (1.0, 1.0)), pn.ContinuousTF((1e308,), (1.0, 0.1))):
+        with pytest.raises(pn.ConfigurationError, match="overflows or vanishes"):
+            pn.estimate_osp_index(tf, [1e-3])
+    # off the pole, s^2 + 1 is accepted; its Re Y < 0 above 1 rad/s clamps the index
+    assert pn.estimate_osp_index(pn.ContinuousTF((1.0,), (1.0, 0.0, 1.0)), [0.5, 2.0]) == 0.0
+
+
+def test_default_osp_grid_is_numpys_logspace():
+    grid = pn.default_osp_grid()
+    assert len(grid) == 1000 and all(type(w) is float for w in grid)
+    assert grid[0] == 1e-3 and grid[-1] == 1e4
+    np.testing.assert_array_max_ulp(np.array(grid), np.logspace(-3.0, 4.0, 1000), maxulp=1)
+    # the bundled hub's index is the one the bundled traces were recorded with
+    assert pn.estimate_osp_index(TABLE1_HUB) == 14.999999999999991
+
+
+@pytest.mark.parametrize("den, count", [
+    ((1.0, 0.0), 0),  # integrator
+    ((1.0, -1.0), 1),
+    ((1.0, 0.0, 1.0), 0),  # s^2 + 1
+    ((1.0, -1.0, 1.0, -1.0), 1),  # (s - 1)(s^2 + 1)
+    ((0.5, 15.0, 1.0), 0),  # non-monic: the bundled hub
+    ((-2.0, -3.0, -1.0), 0),  # negative leading coefficient
+    ((-2.0, 3.0, -1.0), 2),
+    ((1.0, 1.0, 0.0, 0.0), 0),  # s^2 (s + 1)
+    ((1.0, 0.0, 2.0, 0.0, 1.0, 0.0, 0.0), 0),  # s^2 (s^2 + 1)^2: 2 unless s^2 is stripped
+    ((1.0, 0.0, -1.0), 1),  # zero row with a real pair
+    ((1.0, 1.0, 2.0, 2.0, 3.0), 2),  # zero lead in a nonzero row
+    ((3.0,), 0),
+])
+def test_rhp_root_count_exact_cases(den, count):
+    assert _rhp_root_count(den) == count
+
+
+def test_rhp_root_count_matches_numpy_roots():
+    # random real polynomials of orders 1-6 with every root off the imaginary axis
+    rng = np.random.default_rng(61)
+    for _ in range(3000):
+        order = int(rng.integers(1, 7))
+        roots = []
+        while len(roots) < order:
+            re = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-2.0, 2.0))
+            if order - len(roots) >= 2 and rng.random() < 0.5:
+                im = float(10.0 ** rng.uniform(-2.0, 2.0))
+                roots += [complex(re, im), complex(re, -im)]
+            else:
+                roots.append(complex(re, 0.0))
+        lead = float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-2.0, 2.0))
+        den = lead * np.real(np.poly(roots))
+        want = sum(r.real > 0.0 for r in roots)
+        assert int(np.sum(np.roots(den).real > 0.0)) == want
+        assert _rhp_root_count(den.tolist()) == want, den
 
 
 def test_tf_validation():
