@@ -68,7 +68,14 @@ class EnergyLedger:
         return self.observable_energy
 
     def record_injection(self, gains) -> None:
-        """Add this step's dissipation dt*y^2*alpha_i to each D_i and to E_hat."""
+        """Add this step's dissipation dt*y^2*alpha_i to each D_i and to E_hat.
+
+        With every gain zero the D_i stay as they are and E_hat is
+        E_obs + 0.0, the bits the full update gives (it turns -0.0 into 0.0).
+        """
+        if not any(gains):
+            self.controlled_energy = self.observable_energy + 0.0
+            return
         w = self.dt * self._y * self._y
         injected = [w * a for a in gains]
         self.dissipated = [d + i for d, i in zip(self.dissipated, injected)]

@@ -6,8 +6,14 @@ repeated runs of a deterministic scenario produce byte-identical files.
 
 from __future__ import annotations
 
+from operator import itemgetter
+
 from .errors import ConfigurationError
 from .sim import SummaryMetrics, Trace
+
+# Trace values formatted per write: the writer's memory is bounded by this,
+# not by the length of the trace.
+CHUNK_VALUES = 1 << 15
 
 
 def trace_header(num_nodes: int) -> str:
@@ -19,21 +25,30 @@ def trace_header(num_nodes: int) -> str:
 
 
 def write_trace(trace: Trace, path, decimation: int = 1) -> None:
-    if not trace.records:
+    """Write every ``decimation``-th row of ``trace`` as CSV, a chunk of rows at a time.
+
+    Both checks come before the file is opened, so a refused write leaves no file.
+    """
+    if not len(trace):
         raise ConfigurationError("refusing to write an empty trace")
     if decimation < 1:
         raise ConfigurationError("decimation must be >= 1")
-    lines = [trace_header(trace.num_nodes)]
-    for n, t, u_ext, y, x, us, u_hats, alphas, ds, e_obs, e_hat in trace.records:
-        if n % decimation != 0:
-            continue
-        cells = [str(n), repr(t), repr(u_ext), repr(y), repr(x)]
-        for u, u_hat, alpha, d in zip(us, u_hats, alphas, ds):
-            cells += [repr(u), repr(u_hat), repr(alpha), repr(d)]
-        cells += [repr(e_obs), repr(e_hat)]
-        lines.append(",".join(cells))
+    m, w, data = trace.num_nodes, trace.width, trace.data
+    order = [0, 1, 2, 3]  # a stored row's values in column order
+    for i in range(4, 4 + m):
+        order += [i, i + m, i + 2 * m, i + 3 * m]
+    cells = itemgetter(*order, 4 + 4 * m, 5 + 4 * m)
+    rows = range(0, len(trace), decimation)
+    per_chunk = max(1, CHUNK_VALUES // w)
     with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(trace_header(m) + "\n")
+        for first in range(0, len(rows), per_chunk):
+            lines = [
+                f"{n}," + ",".join(map(repr, cells(data[n * w:(n + 1) * w].tolist())))
+                for n in rows[first:first + per_chunk]
+            ]
+            lines.append("")
+            fh.write("\n".join(lines))
 
 
 def write_summary(metrics: SummaryMetrics, path) -> None:

@@ -16,13 +16,15 @@ Per-step pipeline (one sample period, no feedthrough anywhere):
 9. record the injected dissipation in the ledger
 10. book the exact work of the held net force sum(u_hat) in the hold ledger
     and advance the hub with the net force u_ext - sum(u_hat)
-11. emit the step record
+11. append the step's row to the trace
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import struct
+from array import array
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from .allocator import WeightMatrix, allocate
@@ -151,12 +153,64 @@ class StepRecord(NamedTuple):
     e_hat: float
 
 
-@dataclass
 class Trace:
-    records: list[StepRecord] = field(default_factory=list)
-    dt: float = 0.0
-    xi: float = 0.0
-    num_nodes: int = 0
+    """A run's steps as packed doubles, one row of ``6 + 4M`` per step.
+
+    A row is t, u_ext, y, x, then the groups u[M], u_hat[M], alpha[M],
+    D[M], then E_obs, E_hat; the step number n is the row's index.  All rows
+    live in one growable ``array('d')``, ``data``, at 8 bytes a value.
+    ``records`` is a read-only sequence view that builds a
+    :class:`StepRecord` of builtin numbers for each row it is asked for.
+    """
+
+    def __init__(self, dt: float = 0.0, xi: float = 0.0, num_nodes: int = 0):
+        self.dt = dt
+        self.xi = xi
+        self.num_nodes = num_nodes
+        self.width = 6 + 4 * num_nodes
+        self.data = array("d")
+        self._pack = struct.Struct(f"{self.width}d").pack
+        self.records = _Records(self)
+
+    def __len__(self) -> int:
+        return len(self.data) // self.width
+
+    def append(self, t, u_ext, y, x, u, u_hat, alpha, dissipated, e_obs, e_hat) -> None:
+        """Add one step's row; ``u``, ``u_hat``, ``alpha`` and ``dissipated`` hold M values each."""
+        self.data.frombytes(
+            self._pack(t, u_ext, y, x, *u, *u_hat, *alpha, *dissipated, e_obs, e_hat)
+        )
+
+
+class _Records:
+    """Read-only sequence of a Trace's rows as StepRecords, built on access."""
+
+    def __init__(self, trace: Trace):
+        self._trace = trace
+
+    def __len__(self) -> int:
+        return len(self._trace)
+
+    def __getitem__(self, n: int) -> StepRecord:
+        trace, m = self._trace, self._trace.num_nodes
+        if n < 0:
+            n += len(trace)
+        if not 0 <= n < len(trace):
+            raise IndexError("trace row index out of range")
+        row = trace.data[n * trace.width:(n + 1) * trace.width].tolist()
+        return StepRecord._make((
+            n, *row[:4], tuple(row[4:4 + m]), tuple(row[4 + m:4 + 2 * m]),
+            tuple(row[4 + 2 * m:4 + 3 * m]), tuple(row[4 + 3 * m:4 + 4 * m]), *row[-2:],
+        ))
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+    def __eq__(self, other):
+        if not isinstance(other, _Records):
+            return NotImplemented
+        a, b = self._trace, other._trace
+        return a.num_nodes == b.num_nodes and a.data == b.data
 
 
 @dataclass(frozen=True)
@@ -198,12 +252,19 @@ class Simulation:
         self._next_input = scenario.input_at(0)
         self.num_steps = scenario.num_steps
         self.n = 0
+        self.trace = Trace(dt, self.xi, topology.num_nodes)
 
     @property
     def num_nodes(self) -> int:
         return self.topology.num_nodes
 
-    def step(self) -> StepRecord:
+    def step(self) -> bool:
+        """Advance one sample period and append its row to ``self.trace``.
+
+        Returns whether the step crossed a divergence limit (|y| above
+        VELOCITY_LIMIT or E_obs below -ENERGY_LIMIT).  A step that faults
+        raises SimulationFault and appends no row.
+        """
         n = self.n
         if n >= self.num_steps:
             raise SimulationFault("simulation already ran past its duration")
@@ -251,37 +312,33 @@ class Simulation:
         self.hold_ledger.record(preview[0] + self.hub.hold_travel * force, net)
         _, pos = self.hub.step(force)
         self.n = n + 1
-        return StepRecord(
-            n, t, u_ext, y, pos, tuple(u), tuple(u_hat), tuple(gains),
-            tuple(self.ledger.dissipated), e_obs, self.ledger.controlled_energy,
+        self.trace.append(
+            t, u_ext, y, pos, u, u_hat, gains, self.ledger.dissipated,
+            e_obs, self.ledger.controlled_energy,
         )
+        return abs(y) > VELOCITY_LIMIT or e_obs < -ENERGY_LIMIT
 
     def run(self) -> tuple[Trace, SummaryMetrics]:
         """Step to the configured duration or until a divergence limit trips.
 
-        A step that faults ends the run unrecorded, so every recorded cell is finite.
+        The step that crosses a limit is recorded, then the run stops.  A step
+        that faults ends the run unrecorded, so every recorded cell is finite.
         """
-        trace = Trace(dt=self.scenario.dt, xi=self.xi, num_nodes=self.num_nodes)
         diverged = False
-        while self.n < self.num_steps:
-            try:
-                rec = self.step()
-            except SimulationFault:
-                diverged = True
-                break
-            trace.records.append(rec)
-            if abs(rec.y) > VELOCITY_LIMIT or rec.e_obs < -ENERGY_LIMIT:
-                diverged = True
-                break
-        return trace, summarize(trace, diverged)
+        try:
+            while not diverged and self.n < self.num_steps:
+                diverged = self.step()
+        except SimulationFault:
+            diverged = True
+        return self.trace, summarize(self.trace, diverged)
 
 
 def summarize(trace: Trace, diverged: bool) -> SummaryMetrics:
-    records = trace.records
-    if not records:
+    if not len(trace):
         zeros = (0.0,) * trace.num_nodes
         return SummaryMetrics(diverged, 0.0, 0.0, zeros, zeros, 0.0, 0)
-    dissipated = records[-1].dissipated
+    last = trace.records[-1]
+    dissipated = last.dissipated
     total = fold(dissipated)
     if total > 0.0:
         shares = tuple(d / total for d in dissipated)
@@ -289,12 +346,12 @@ def summarize(trace: Trace, diverged: bool) -> SummaryMetrics:
         shares = (0.0,) * len(dissipated)
     return SummaryMetrics(
         diverged=diverged,
-        min_e_hat=min(r.e_hat for r in records),
-        final_abs_y=abs(records[-1].y),
+        min_e_hat=min(trace.data[trace.width - 1::trace.width]),
+        final_abs_y=abs(last.y),
         dissipated=dissipated,
         shares=shares,
         total_injected=total,
-        steps=len(records),
+        steps=len(trace),
     )
 
 

@@ -1,27 +1,27 @@
+import random
+import tracemalloc
+
 import pytest
 
 import passivenet as pn
 from passivenet.selfcheck import passive_topology
-from passivenet.sim import StepRecord, SummaryMetrics, Trace
+from passivenet.sim import SummaryMetrics, Trace
 
 
 def _tiny_trace():
     trace = Trace(dt=0.001, xi=12.0, num_nodes=2)
     for n in range(5):
-        trace.records.append(
-            StepRecord(
-                n=n,
-                t=n * 0.001,
-                u_ext=0.1 * n,
-                y=0.123456789012345 * n,
-                x=float(n),
-                u=(1.0 / 3.0 * n, -2.0 * n),
-                u_hat=(1.0 / 3.0 * n, -1.5 * n),
-                alpha=(0.0, 0.25 * n),
-                dissipated=(0.0, 0.5 * n),
-                e_obs=-1e-7 * n,
-                e_hat=0.0,
-            )
+        trace.append(
+            t=n * 0.001,
+            u_ext=0.1 * n,
+            y=0.123456789012345 * n,
+            x=float(n),
+            u=(1.0 / 3.0 * n, -2.0 * n),
+            u_hat=(1.0 / 3.0 * n, -1.5 * n),
+            alpha=(0.0, 0.25 * n),
+            dissipated=(0.0, 0.5 * n),
+            e_obs=-1e-7 * n,
+            e_hat=0.0,
         )
     return trace
 
@@ -55,6 +55,44 @@ def test_trace_decimation_and_validation(tmp_path):
         pn.write_trace(trace, path, decimation=0)
     with pytest.raises(pn.ConfigurationError):
         pn.write_trace(Trace(dt=0.001, xi=1.0, num_nodes=2), path)
+
+
+def test_refused_write_creates_no_file(tmp_path):
+    path = tmp_path / "t.csv"
+    with pytest.raises(pn.ConfigurationError, match="decimation"):
+        pn.write_trace(_tiny_trace(), path, decimation=0)
+    with pytest.raises(pn.ConfigurationError, match="empty"):
+        pn.write_trace(Trace(dt=0.001, xi=1.0, num_nodes=2), path)
+    assert not path.exists()
+
+
+def _random_trace(steps, m=8):
+    rng = random.Random(0)
+    pool = [[float(rng.randrange(-999, 1000)) for _ in range(m)] for _ in range(64)]
+    trace = Trace(dt=0.001, xi=1.0, num_nodes=m)
+    for n in range(steps):
+        trace.append(n * 0.001, *pool[n % 61][:3], *pool[n % 59:n % 59 + 4],
+                     *pool[n % 53][3:5])
+    return trace
+
+
+def _peak_write_bytes(trace, path):
+    tracemalloc.start()
+    try:
+        pn.write_trace(trace, path)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_writer_memory_does_not_grow_with_trace_length(tmp_path):
+    short, long = _random_trace(2000), _random_trace(4000)
+    peak_short = _peak_write_bytes(short, tmp_path / "short.csv")
+    peak_long = _peak_write_bytes(long, tmp_path / "long.csv")
+    size_long = (tmp_path / "long.csv").stat().st_size
+    assert len(long.records) == 2 * len(short.records)
+    assert peak_long <= 1.1 * peak_short
+    assert peak_long < size_long  # the file is streamed, never held whole
 
 
 def test_summary_round_trip(tmp_path):

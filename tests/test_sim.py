@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -142,9 +144,10 @@ def test_fold_is_plain_left_to_right():
     for _ in range(10):
         acc += 0.1
     assert fold([0.1] * 10) == acc != 1.0  # the exactly rounded sum is 1.0
-    rec = pn.StepRecord(0, 0.0, 0.0, 0.0, 0.0, (0.0,) * 3, (0.0,) * 3, (0.0,) * 3,
-                        (1e16, 1.0, -1e16), 0.0, 0.0)
-    metrics = pn.summarize(pn.Trace(records=[rec], dt=0.001, num_nodes=3), False)
+    trace = pn.Trace(dt=0.001, num_nodes=3)
+    trace.append(0.0, 0.0, 0.0, 0.0, (0.0,) * 3, (0.0,) * 3, (0.0,) * 3,
+                 (1e16, 1.0, -1e16), 0.0, 0.0)
+    metrics = pn.summarize(trace, False)
     assert metrics.total_injected == 0.0 and metrics.shares == (0.0, 0.0, 0.0)
 
 
@@ -287,3 +290,52 @@ def test_delay_longer_than_the_run_reads_only_cold_start_zeros():
     far = records(1e9)
     assert len(far) == 2000 and all(rec.u[0] == 0.0 for rec in far)
     assert far == records(2.5)  # a round trip of 2.5 s also never returns within 2 s
+
+
+def test_records_view_is_a_lazy_read_only_sequence():
+    scen = pn.Scenario(kind="dual-sine", duration=0.6, dt=0.001, amplitude=20.0)
+    trace, metrics = pn.build(table1_topology(), scen).run()
+    records = trace.records
+    assert len(records) == metrics.steps == 600 and records
+    listed = list(records)
+    assert [rec.n for rec in listed] == list(range(600))
+    assert records[-1] == records[599] == listed[-1]
+    assert records[-600] == records[0] == listed[0]
+    for n in (-601, 600):
+        with pytest.raises(IndexError):
+            records[n]
+    with pytest.raises(TypeError):
+        records[0] = listed[1]
+    assert not hasattr(records, "append")
+    assert records[-1].y == trace.data[-trace.width + 2]
+    assert type(records[-1]) is pn.StepRecord and type(records[-1].u) is tuple
+
+    again, _ = pn.build(table1_topology(), scen).run()
+    assert records == again.records and list(again.records) == listed
+    louder = dataclasses.replace(scen, amplitude=21.0)
+    assert records != pn.build(table1_topology(), louder).run()[0].records
+    assert not pn.Trace(dt=0.001, num_nodes=3).records
+
+
+def test_trace_stores_one_packed_row_per_step():
+    sim = pn.build(
+        sixty_four_node_topology(),
+        pn.Scenario(kind="dual-sine", duration=1.0, dt=0.001, amplitude=20.0),
+    )
+    for _ in range(800):
+        sim.step()
+    tracemalloc.start()  # over the last 200 steps, which reallocate the rows
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        trace, metrics = sim.run()
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert metrics.steps == 1000 and trace.width == 6 + 4 * 64
+    assert len(trace.data) == 1000 * trace.width
+    # array('d') keeps 8 B a value and over-allocates by at most 1/16
+    rows = 8 * trace.width * metrics.steps * 17 / 16
+    assert sys.getsizeof(trace.data) <= rows + 64
+    # nothing else accumulates per step (about 25 kB of state is replaced
+    # while tracing)
+    assert grown <= rows + 64 * 1024
