@@ -15,7 +15,7 @@ positive observable energy yields A = 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import mul
 
 from .errors import ConfigurationError, SimulationFault, check_positive_finite, fold
@@ -31,6 +31,8 @@ class WeightMatrix:
     """Diagonal of the symmetric positive definite penalty matrix Q."""
 
     diagonal: tuple[float, ...]
+    inverse: tuple[float, ...] = field(init=False, repr=False, compare=False)  # 1/q_i
+    inverse_sum: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.diagonal) == 0:
@@ -40,15 +42,11 @@ class WeightMatrix:
         )
         inverse = tuple(1.0 / q for q in diagonal)
         object.__setattr__(self, "diagonal", diagonal)  # builtin floats, as the gains are
-        object.__setattr__(self, "_inverse", inverse)
-        object.__setattr__(self, "_inverse_sum", fold(inverse))
+        object.__setattr__(self, "inverse", inverse)
+        object.__setattr__(self, "inverse_sum", fold(inverse))
 
     def __len__(self) -> int:
         return len(self.diagonal)
-
-    def inverse_diagonal(self) -> tuple[float, ...]:
-        """1/q_i as a tuple of floats, computed once."""
-        return self._inverse
 
 
 @dataclass(frozen=True)
@@ -90,9 +88,9 @@ def allocate(e_obs: float, squared_outputs, weights: WeightMatrix, dt: float) ->
         raise SimulationFault("squared-output vector has a negative entry")
 
     if e_obs < 0.0:
-        s_over_q = [si * r for si, r in zip(s, weights.inverse_diagonal())]
+        s_over_q = [si * r for si, r in zip(s, weights.inverse)]
         denom = math.fsum(map(mul, s, s_over_q))  # S' Q^{-1} S, exactly rounded
-        scale = max(s) ** 2 * weights._inverse_sum
+        scale = max(s) ** 2 * weights.inverse_sum
         if scale > 0.0 and denom > EPSILON_SINGULAR * scale:
             lam = (-e_obs / dt) / denom
             gains = tuple([v * lam for v in s_over_q])

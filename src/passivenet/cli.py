@@ -10,7 +10,7 @@ from .config import parse_config_file, resolve_config_path
 from .errors import ConfigurationError, SimulationFault
 from .output import write_summary, write_trace
 from .selfcheck import run_self_checks
-from .sim import build
+from .sim import SCENARIO_KINDS, build
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -32,7 +32,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--scenario",
         default=None,
-        choices=("impulse", "dual-sine", "external"),
+        choices=SCENARIO_KINDS,
         help="override the scenario kind from the config",
     )
     parser.add_argument(

@@ -86,7 +86,8 @@ class HubState:
     and (travel, next_velocity, next_travel) the free terms it returns:
 
     * the hub travels ``travel + hold_travel * F`` during the coming sample
-      (the integral of its velocity, not ``dt`` times the sample),
+      (the integral of its velocity, not ``dt`` times the sample), which
+      ``travel(F)`` returns,
     * its next velocity sample is ``next_velocity + hold_velocity * F``,
     * it then travels ``next_travel + hold_carry * F + hold_travel * F'``.
     """
@@ -107,6 +108,9 @@ class HubState:
 
     def hold_preview(self) -> tuple[float, float, float]:
         return tuple(math.fsum(map(mul, row, self._x)) for row in self._preview_rows)
+
+    def travel(self, force: float) -> float:
+        return math.fsum(map(mul, self._preview_rows[0], self._x)) + self.hold_travel * force
 
     def velocity(self) -> float:
         return self._v
@@ -131,7 +135,7 @@ def make_hub_admittance(tf: ContinuousTF, dt: float) -> HubState:
     so Ad = I + A once and bd = once b.  Unlike scipy, a leading numerator
     coefficient of magnitude <= 1e-14 is kept.  Overflow is rejected.
     """
-    check_positive_finite(dt)
+    dt = check_positive_finite(dt)
     if not tf.strictly_proper:
         raise ConfigurationError(
             "hub admittance must be strictly proper (numerator degree < denominator "

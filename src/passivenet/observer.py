@@ -54,14 +54,14 @@ class EnergyLedger:
         """D, the sum of the per-port dissipations D_i."""
         return fold(self.dissipated)
 
-    def ingest_step(self, y: float, u) -> float:
+    def ingest_step(self, y: float, raw: float) -> float:
         """Accumulate one step of raw energy and return the observable energy.
 
-        ``y`` is the hub velocity, ``u`` the per-port raw feedback, a sequence
-        of floats.  The hub credit xi*y^2 enters once, not per port; injections
+        ``y`` is the hub velocity, ``raw`` the sum of the per-port raw
+        feedback.  The hub credit xi*y^2 enters once, not per port; injections
         recorded so far (through step n-1) are included via E_hat[n-1].
         """
-        increment = self.dt * y * (self.xi * y + fold(u))
+        increment = self.dt * y * (self.xi * y + raw)
         self._y = y
         self.observable_energy = self.controlled_energy + increment
         self.controlled_energy = self.observable_energy
@@ -85,35 +85,39 @@ class EnergyLedger:
 class HoldLedger:
     """Exact held-force energy at the hub port, and the force it requires.
 
-    ``dt`` is the sample period, ``credit`` the hub's passivity index nu.
-    The hub's hold constants (``hold_travel``, ``hold_velocity``,
-    ``hold_carry``) and its per-step ``hold_preview()`` terms are those of
-    :class:`passivenet.lti.HubState`.
+    ``credit`` is the hub's passivity index nu and ``hub`` the
+    :class:`passivenet.lti.HubState` whose port it prices: the sample period,
+    the hold constants (``hold_travel``, ``hold_velocity``, ``hold_carry``)
+    and the per-step ``hold_preview()`` terms are read from it.
     """
 
-    def __init__(self, dt: float, credit: float, hub):
-        self.dt = check_positive_finite(dt)
+    def __init__(self, credit: float, hub):
         self.credit = _check_credit(credit)
-        self.travel_gain = hub.hold_travel
-        self.velocity_gain = hub.hold_velocity
-        self.carry_gain = hub.hold_carry
+        self.hub = hub
         self.energy = 0.0  # E_x
 
-    def record(self, travel: float, network_force: float) -> float:
-        """Book the exact work of one held sample and return E_x."""
-        self.energy += (
-            self.credit * travel * travel / self.dt + network_force * travel
-        )
+    @property
+    def dt(self) -> float:
+        return self.hub.dt
+
+    def record(self, force: float, network_force: float) -> float:
+        """Book the exact work of one sample held at hub force ``force``; return E_x."""
+        travel = self.hub.travel(force)
+        self.energy += self.credit * travel * travel / self.hub.dt + network_force * travel
         return self.energy
 
+    def target(self, y: float, raw: float, e_obs: float, u_ext: float, u_ext_next: float) -> float:
+        """Energy the allocator must cancel: ``e_obs``, or -(held - raw)*y*dt where
+        the force :meth:`required_force` asks for lies beyond the rectangular floor."""
+        if y == 0.0:
+            return e_obs
+        dt = self.hub.dt
+        floor = raw - e_obs / (dt * y) if e_obs < 0.0 else raw
+        held = self.required_force(y, raw, floor, u_ext, u_ext_next)
+        return -(held - raw) * y * dt if (held - floor) * y > 0.0 else e_obs
+
     def required_force(
-        self,
-        y: float,
-        raw: float,
-        floor: float,
-        u_ext: float,
-        u_ext_next: float,
-        preview: tuple[float, float, float],
+        self, y: float, raw: float, floor: float, u_ext: float, u_ext_next: float
     ) -> float:
         """Net network force to hold over the coming sample.
 
@@ -129,9 +133,9 @@ class HoldLedger:
         must stay >= 0.  The answer is the force nearest ``floor`` that
         achieves this or, when none does, the one that comes closest.
         """
-        dt, nu = self.dt, self.credit
-        gam, kap, car = self.travel_gain, self.velocity_gain, self.carry_gain
-        travel, next_velocity, next_travel = preview
+        hub, nu = self.hub, self.credit
+        dt, gam, kap, car = hub.dt, hub.hold_travel, hub.hold_velocity, hub.hold_carry
+        travel, next_velocity, next_travel = hub.hold_preview()
         # exact work of this sample as a quadratic in the net force s
         p0 = travel + gam * u_ext
         here = (nu * gam * gam / dt - gam, p0 * (1.0 - 2.0 * nu * gam / dt),

@@ -15,6 +15,7 @@ import random
 
 from .allocator import WeightMatrix, allocate
 from .delay import DelayLine, DelayProfile
+from .errors import fold
 from .lti import ContinuousTF, ImpedanceTriple, NodeState, make_hub_admittance
 from .observer import EnergyLedger
 from .sim import Scenario, Topology, build
@@ -113,7 +114,7 @@ def check_ledger_identity() -> None:
     for n in range(2000):
         y = rng.gauss(0.0, 1.0)
         u = [rng.gauss(0.0, 1.0) for _ in range(m)]
-        ledger.ingest_step(y, u)
+        ledger.ingest_step(y, fold(u))
         gains = [abs(rng.gauss(0.0, 1.0)) for _ in range(m)]
         ledger.record_injection(gains)
         u_hat = [ui + a * y for ui, a in zip(u, gains)]
@@ -207,8 +208,8 @@ CHECKS = [
 ]
 
 
-def run_self_checks(verbose: bool = True) -> bool:
-    """Run every check in CHECKS; print one line per check if verbose."""
+def run_self_checks() -> bool:
+    """Run every check in CHECKS and print one line per check."""
     all_ok = True
     for name, check in CHECKS:
         try:
@@ -217,6 +218,5 @@ def run_self_checks(verbose: bool = True) -> bool:
         except CheckFailed as exc:
             all_ok = False
             status = f"FAIL ({exc})"
-        if verbose:
-            print(f"[seed-check] {name}: {status}")
+        print(f"[seed-check] {name}: {status}")
     return all_ok

@@ -6,16 +6,16 @@ Per-step pipeline (one sample period, no feedthrough anywhere):
 2. peek the hub velocity y[n]
 3. forward-delay y to each node, step the node impedance, backward-delay the
    node force back to the hub port, giving the raw feedback u_i[n]
-4. observer ingest of y and the raw feedback -> observable energy E_obs[n]
-5. hold ledger -> the net network force the exact held-force energy needs,
-   one sample ahead (see :class:`passivenet.observer.HoldLedger`)
-6. allocator -> damping gains A[n] for the larger of the two requirements
+4. observer ingest of y and the summed raw feedback -> observable energy E_obs[n]
+5. hold ledger -> the energy to cancel: E_obs[n], or more where the exact
+   held-force energy needs it (see :class:`passivenet.observer.HoldLedger`)
+6. allocator -> damping gains A[n] for that energy
 7. u_hat_i = u_i + alpha_i * y
 8. the step's one finiteness check, on E_obs and the hub force (inputs are
    validated where they enter, so only overflow in the loop can trip it)
 9. record the injected dissipation in the ledger
 10. book the exact work of the held net force sum(u_hat) in the hold ledger
-    and advance the hub with the net force u_ext - sum(u_hat)
+    and advance the hub with the hub force u_ext - sum(u_hat)
 11. append the step's row to the trace
 """
 
@@ -247,16 +247,12 @@ class Simulation:
             self.ports.append((leg, DelayLine(length, dt), smooth, node, DelayLine(length, dt)))
         self.ledger = EnergyLedger(dt, self.xi, topology.num_nodes)
         self.hold_ledger = HoldLedger(
-            dt, self.xi if topology.xi is None else _hold_credit(topology.hub), self.hub
+            self.xi if topology.xi is None else _hold_credit(topology.hub), self.hub
         )
         self._next_input = scenario.input_at(0)
         self.num_steps = scenario.num_steps
         self.n = 0
         self.trace = Trace(dt, self.xi, topology.num_nodes)
-
-    @property
-    def num_nodes(self) -> int:
-        return self.topology.num_nodes
 
     def step(self) -> bool:
         """Advance one sample period and append its row to ``self.trace``.
@@ -284,32 +280,24 @@ class Simulation:
                 v = smooth.filter(v)
             u.append(backward.push_and_sample(node.step(v), t, d_leg))
 
-        e_obs = self.ledger.ingest_step(y, u)
-        preview = self.hub.hold_preview()
+        raw = fold(u)
+        e_obs = self.ledger.ingest_step(y, raw)
         if topo.stabilizer_enabled:
-            target = e_obs
-            if y != 0.0:
-                raw = fold(u)
-                floor = raw - e_obs / (dt * y) if e_obs < 0.0 else raw
-                held = self.hold_ledger.required_force(
-                    y, raw, floor, u_ext, self._next_input, preview
-                )
-                if (held - floor) * y > 0.0:
-                    target = -(held - raw) * y * dt
+            target = self.hold_ledger.target(y, raw, e_obs, u_ext, self._next_input)
             gains = allocate(target, [y * y] * len(u), topo.weights, dt).gains
             u_hat = [ui + a * y for ui, a in zip(u, gains)]
+            net = fold(u_hat)
         else:
             gains = [0.0] * len(u)
-            u_hat = u  # bit-exact pass-through, no -0.0 flips in the trace
+            u_hat, net = u, raw  # bit-exact pass-through, no -0.0 flips in the trace
 
-        net = fold(u_hat)
         force = u_ext - net
         if not (math.isfinite(e_obs) and math.isfinite(force)):
             raise SimulationFault(
                 f"non-finite step at n={n}: E_obs={e_obs!r}, hub force={force!r}"
             )
         self.ledger.record_injection(gains)
-        self.hold_ledger.record(preview[0] + self.hub.hold_travel * force, net)
+        self.hold_ledger.record(force, net)
         _, pos = self.hub.step(force)
         self.n = n + 1
         self.trace.append(

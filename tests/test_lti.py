@@ -145,6 +145,21 @@ def test_velocity_is_the_output_of_the_current_state():
     assert hub.velocity() == math.fsum(map(mul, hub._c, hub._x)) != 0.0
 
 
+@pytest.mark.parametrize("tf", [TABLE1_HUB, INTEGRATOR], ids=["table1", "integrator"])
+def test_travel_is_the_previewed_travel_bit_for_bit(tf):
+    rng = np.random.default_rng(17)
+    hub = pn.make_hub_admittance(tf, 0.001)
+    for f in rng.normal(scale=50.0, size=100):
+        force = float(rng.normal(scale=1e3))
+        assert hub.travel(force) == hub.hold_preview()[0] + hub.hold_travel * force
+        hub.step(float(f))
+
+
+def test_hub_sample_period_is_a_builtin_float():
+    dt = pn.make_hub_admittance(TABLE1_HUB, np.float64(1e-3)).dt
+    assert type(dt) is float and dt == 1e-3
+
+
 def _scipy_zoh(tf, dt):
     """The reference realization: scipy's tf2ss, then cont2discrete(zoh)."""
     from scipy.signal import cont2discrete, tf2ss

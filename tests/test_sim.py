@@ -257,7 +257,7 @@ SAMPLE_PERIOD_USERS = {
     "make_hub_admittance": lambda dt: pn.make_hub_admittance(TABLE1_HUB, dt),
     "NodeState": lambda dt: pn.NodeState(_Z, dt),
     "EnergyLedger": lambda dt: pn.EnergyLedger(dt, 1.0, 3),
-    "HoldLedger": lambda dt: HoldLedger(dt, 1.0, pn.make_hub_admittance(TABLE1_HUB, 0.001)),
+    "HoldLedger": lambda dt: HoldLedger(1.0, pn.make_hub_admittance(TABLE1_HUB, dt)),
 }
 
 
