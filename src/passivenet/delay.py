@@ -40,10 +40,10 @@ class DelayProfile:
 class DelayLine:
     """Ring buffer (a list of the pushed floats) read with nearest-sample indexing.
 
-    Samples are pushed once per period; the read index for a requested delay
-    d is the stored sample whose timestamp is nearest to t_now - d (ties
-    round toward the more recent sample).  Before t_now - d reaches zero the
-    line returns the cold-start value 0.
+    Samples are pushed once per period, push n (counted by the line from 0) at
+    t = n*dt; the read index for a requested delay d is the stored sample whose
+    timestamp is nearest to t - d (ties round toward the more recent sample).
+    Before t - d reaches zero the line returns the cold-start value 0.
     """
 
     def __init__(self, max_delay: float, dt: float):
@@ -56,16 +56,15 @@ class DelayLine:
         self._buf = [0.0] * self.capacity
         self._n = 0  # index of the next push
 
-    def push_and_sample(self, sample: float, t_now: float, d: float) -> float:
+    def push_and_sample(self, sample: float, d: float) -> float:
         if d < 0.0:
             raise ConfigurationError("requested delay must be nonnegative")
         n = self._n
         self._buf[n % self.capacity] = sample
         self._n = n + 1
-        if t_now - d < 0.0:
-            return 0.0
         k = int(math.floor((n - d / self.dt) + 0.5))
-        if k < 0:
+        # cold start: k < 0, or t = n*dt short of d; k >= 1 puts t - d near dt/2 or above
+        if k < 1 and (k < 0 or n * self.dt < d):
             return 0.0
         if n - k >= self.capacity:
             raise ConfigurationError(

@@ -75,8 +75,8 @@ class HubState:
 
     ``velocity()`` peeks at the output before any force is absorbed;
     ``step(force)`` returns (velocity, position) and then advances the state,
-    so the returned velocity is independent of the force passed in.  The
-    output c x is computed once per step, when the state advances.
+    so the returned velocity is independent of the force passed in.  One pass
+    per step forms c x and the ``hold_preview()`` terms, which the getters read.
     Position is the trapezoidal running integral of the velocity samples.
     The matrices and the state are lists of floats and every product is an
     exactly rounded ``math.fsum``, so a step gives the same bits on any CPU.
@@ -95,22 +95,21 @@ class HubState:
     def __init__(self, a: list, b: list, c: list, dt: float, travel_row: list, hold_travel: float):
         self._a = a
         self._b = b
-        self._c = c
         self._x = [0.0] * len(b)
         self.dt = dt
         self._pos = 0.0
         self._prev_v = 0.0
-        self._preview_rows = [travel_row, *_matmul([c, travel_row], a)]
+        self._rows = [c, travel_row, *_matmul([c, travel_row], a)]
         self.hold_travel = hold_travel
         self.hold_velocity = math.fsum(map(mul, c, b))
         self.hold_carry = math.fsum(map(mul, travel_row, b))
-        self._v = math.fsum(map(mul, c, self._x))
+        self._v, self._preview = 0.0, (0.0, 0.0, 0.0)  # the outputs of the zero state
 
     def hold_preview(self) -> tuple[float, float, float]:
-        return tuple(math.fsum(map(mul, row, self._x)) for row in self._preview_rows)
+        return self._preview
 
     def travel(self, force: float) -> float:
-        return math.fsum(map(mul, self._preview_rows[0], self._x)) + self.hold_travel * force
+        return self._preview[0] + self.hold_travel * force
 
     def velocity(self) -> float:
         return self._v
@@ -121,7 +120,8 @@ class HubState:
         self._prev_v = v
         x = [math.fsum([*map(mul, row, self._x), bi * force]) for row, bi in zip(self._a, self._b)]
         self._x = x
-        self._v = math.fsum(map(mul, self._c, x))  # c x, once per step
+        self._v, *preview = [math.fsum(map(mul, row, x)) for row in self._rows]
+        self._preview = tuple(preview)
         return v, self._pos
 
 

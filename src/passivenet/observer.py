@@ -88,7 +88,7 @@ class HoldLedger:
     ``credit`` is the hub's passivity index nu and ``hub`` the
     :class:`passivenet.lti.HubState` whose port it prices: the sample period,
     the hold constants (``hold_travel``, ``hold_velocity``, ``hold_carry``)
-    and the per-step ``hold_preview()`` terms are read from it.
+    and the per-step ``velocity()`` and ``hold_preview()`` are read from it.
     """
 
     def __init__(self, credit: float, hub):
@@ -106,20 +106,18 @@ class HoldLedger:
         self.energy += self.credit * travel * travel / self.hub.dt + network_force * travel
         return self.energy
 
-    def target(self, y: float, raw: float, e_obs: float, u_ext: float, u_ext_next: float) -> float:
-        """Energy the allocator must cancel: ``e_obs``, or -(held - raw)*y*dt where
-        the force :meth:`required_force` asks for lies beyond the rectangular floor."""
+    def target(self, raw: float, e_obs: float, u_ext: float, u_ext_next: float) -> float:
+        """Energy the allocator must cancel: ``e_obs``, or -(held - raw)*y*dt, y the hub's
+        velocity, where :meth:`required_force` asks for a force beyond the rectangular floor."""
+        y, dt = self.hub.velocity(), self.hub.dt
         if y == 0.0:
             return e_obs
-        dt = self.hub.dt
         floor = raw - e_obs / (dt * y) if e_obs < 0.0 else raw
-        held = self.required_force(y, raw, floor, u_ext, u_ext_next)
+        held = self.required_force(raw, floor, u_ext, u_ext_next)
         return -(held - raw) * y * dt if (held - floor) * y > 0.0 else e_obs
 
-    def required_force(
-        self, y: float, raw: float, floor: float, u_ext: float, u_ext_next: float
-    ) -> float:
-        """Net network force to hold over the coming sample.
+    def required_force(self, raw: float, floor: float, u_ext: float, u_ext_next: float) -> float:
+        """Net network force to hold over the coming sample, at the hub velocity y.
 
         ``raw`` is the sum of the raw node forces, ``floor`` the net force at
         the gains the rectangular ledger requires.  Damping gains can only
@@ -140,7 +138,7 @@ class HoldLedger:
         p0 = travel + gam * u_ext
         here = (nu * gam * gam / dt - gam, p0 * (1.0 - 2.0 * nu * gam / dt),
                 self.energy + nu * p0 * p0 / dt)
-        direction = 1.0 if y > 0.0 else -1.0
+        direction = 1.0 if hub.velocity() > 0.0 else -1.0
         if raw == 0.0:
             pieces = [(0.0, math.inf, here)]
         else:

@@ -130,7 +130,7 @@ def check_delay_shift() -> None:
     line = DelayLine(0.1, dt)
     samples = [rng.gauss(0.0, 1.0) for _ in range(400)]
     for n, sample in enumerate(samples):
-        out = line.push_and_sample(sample, n * dt, 0.1)
+        out = line.push_and_sample(sample, 0.1)
         expected = samples[n - 10] if n >= 10 else 0.0
         _expect(out == expected, f"sample {n}: {out!r} != {expected!r}")
 

@@ -117,6 +117,9 @@ class Scenario:
         if not math.isfinite(self.amplitude):
             raise ConfigurationError("scenario amplitude must be finite")
         object.__setattr__(self, "amplitude", float(self.amplitude))
+        if self.kind == "impulse" and not math.isfinite(self.amplitude / self.dt):
+            raise ConfigurationError(f"impulse scenario height amplitude/dt = {self.amplitude!r}"
+                                     f"/{self.dt!r} overflows float range")
         if self.kind == "external":
             if self.samples is None:
                 raise ConfigurationError("external scenario requires a samples array")
@@ -275,15 +278,15 @@ class Simulation:
         u = []
         for leg, forward, smooth, node, backward in self.ports:
             d_leg = leg.delay_at(t)
-            v = forward.push_and_sample(y, t, d_leg)
+            v = forward.push_and_sample(y, d_leg)
             if smooth is not None:
                 v = smooth.filter(v)
-            u.append(backward.push_and_sample(node.step(v), t, d_leg))
+            u.append(backward.push_and_sample(node.step(v), d_leg))
 
         raw = fold(u)
         e_obs = self.ledger.ingest_step(y, raw)
         if topo.stabilizer_enabled:
-            target = self.hold_ledger.target(y, raw, e_obs, u_ext, self._next_input)
+            target = self.hold_ledger.target(raw, e_obs, u_ext, self._next_input)
             gains = allocate(target, [y * y] * len(u), topo.weights, dt).gains
             u_hat = [ui + a * y for ui, a in zip(u, gains)]
             net = fold(u_hat)

@@ -145,6 +145,15 @@ def test_overflowing_hub_is_a_configuration_error(tmp_path, capsys):
     assert not (tmp_path / "out" / "trace.csv").exists()
 
 
+def test_overflowing_impulse_is_a_configuration_error(tmp_path, capsys):
+    doc = _short_doc(kind="impulse")
+    doc["scenario"].update(amplitude=1e306, dt=0.001)
+    rc = main(["--config", str(_write(tmp_path, doc)), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("passivenet: error: impulse scenario height")
+    assert not (tmp_path / "out").exists()
+
+
 def test_unwritable_output_is_reported(tmp_path, capsys):
     cfg = _write(tmp_path, _short_doc(duration=0.05))
     blocker = tmp_path / "blocked"

@@ -173,6 +173,17 @@ def test_overflowing_hub_realization_is_rejected_at_build():
         pn.build(cfg.topology, cfg.scenario)
 
 
+def test_impulse_whose_height_overflows_is_rejected_at_parse():
+    # amplitude/dt = 1e309 is past float range; the run would fault at step 0
+    doc = _table1_doc()
+    doc["scenario"].update(kind="impulse", amplitude=1e306, dt=0.001)
+    with pytest.raises(pn.ConfigurationError, match="impulse scenario height"):
+        _parse(doc)
+    doc["scenario"]["amplitude"] = -1e306
+    with pytest.raises(pn.ConfigurationError, match="impulse scenario height"):
+        _parse(doc)
+
+
 def test_negative_delay_profile_rejected():
     doc = _table1_doc()
     doc["topology"]["delays"][0]["amplitude"] = 0.06

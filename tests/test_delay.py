@@ -31,7 +31,7 @@ def test_zero_delay_is_identity():
     line = pn.DelayLine(0.0, 0.001)
     rng = np.random.default_rng(12)
     for n, s in enumerate(rng.normal(size=200)):
-        assert line.push_and_sample(float(s), n * 0.001, 0.0) == float(s)
+        assert line.push_and_sample(float(s), 0.0) == float(s)
 
 
 def test_step_arrival_matches_root_find_oracle():
@@ -47,10 +47,27 @@ def test_step_arrival_matches_root_find_oracle():
     first = None
     for n in range(200):
         t = n * dt
-        out = line.push_and_sample(1.0, t, profile.delay_at(t))
+        out = line.push_and_sample(1.0, profile.delay_at(t))
         if out != 0.0 and first is None:
             first = n
     assert first == oracle_step
+
+
+def test_line_time_is_its_push_count_times_dt():
+    # dt = 0.0007 divides none of the delays.  Each push gates and reads as an
+    # explicit read at t = n*dt would: 0 while t - d < 0, else sample k + 1.
+    dt = 0.0007
+    profile = pn.DelayProfile(0.0105, 0.0035, 40.0)
+    line = pn.DelayLine(profile.max_delay, dt)
+    gated = 0
+    for n in range(600):
+        t = n * dt
+        d = profile.delay_at(t)
+        k = math.floor((n - d / dt) + 0.5)
+        gated += t - d < 0.0 <= k  # the gate, not the index, keeps the output at 0
+        want = float(k + 1) if t - d >= 0.0 and k >= 0 else 0.0
+        assert line.push_and_sample(float(n + 1), d) == want
+    assert gated > 0
 
 
 def test_causality():
@@ -60,7 +77,7 @@ def test_causality():
     line = pn.DelayLine(profile.max_delay, 0.001)
     for n in range(500):
         t = n * 0.001
-        out = line.push_and_sample(float(n), t, profile.delay_at(t))
+        out = line.push_and_sample(float(n), profile.delay_at(t))
         assert out <= n
 
 
@@ -69,28 +86,28 @@ def test_zero_input_zero_output():
     line = pn.DelayLine(profile.max_delay, 0.001)
     for n in range(300):
         t = n * 0.001
-        assert line.push_and_sample(0.0, t, profile.delay_at(t)) == 0.0
+        assert line.push_and_sample(0.0, profile.delay_at(t)) == 0.0
 
 
 def test_delay_beyond_capacity_faults():
     line = pn.DelayLine(0.05, 0.001)
     for n in range(100):
-        line.push_and_sample(1.0, n * 0.001, 0.05)
+        line.push_and_sample(1.0, 0.05)
     with pytest.raises(pn.ConfigurationError):
-        line.push_and_sample(1.0, 0.1, 0.09)
+        line.push_and_sample(1.0, 0.09)  # at t = 0.1
 
 
 def test_negative_requested_delay_faults():
     line = pn.DelayLine(0.05, 0.001)
     with pytest.raises(pn.ConfigurationError):
-        line.push_and_sample(1.0, 0.0, -0.001)
+        line.push_and_sample(1.0, -0.001)
 
 
 def test_delay_at_line_capacity():
     line = pn.DelayLine(0.1, 0.01)
     assert line.capacity == 12
     for n in range(20):
-        line.push_and_sample(float(n), n * 0.01, 0.0)
-    assert line.push_and_sample(20.0, 0.2, 0.11) == 9.0  # pushed 11 samples back
+        line.push_and_sample(float(n), 0.0)
+    assert line.push_and_sample(20.0, 0.11) == 9.0  # at t = 0.2, pushed 11 samples back
     with pytest.raises(pn.ConfigurationError, match="capacity"):
-        line.push_and_sample(21.0, 0.21, 0.12)
+        line.push_and_sample(21.0, 0.12)  # at t = 0.21

@@ -11,7 +11,7 @@ import pytest
 from scipy.linalg import expm
 
 import passivenet as pn
-from passivenet.lti import _expm, _rhp_root_count
+from passivenet.lti import _expm, _matmul, _rhp_root_count
 from passivenet.selfcheck import LINEAR_STATES, check_state_linearity
 
 from conftest import TABLE1_HUB
@@ -135,14 +135,15 @@ def test_hold_preview_matches_dense_travel(tf):
 
 def test_velocity_is_the_output_of_the_current_state():
     # step() computes c x once, after it advances the state; velocity() reads it back
+    # (c is the first of the hub's output rows)
     rng = np.random.default_rng(13)
     hub = pn.make_hub_admittance(TABLE1_HUB, 0.001)
     for f in rng.normal(scale=50.0, size=200):
         y = hub.velocity()
-        assert y == math.fsum(map(mul, hub._c, hub._x))
+        assert y == math.fsum(map(mul, hub._rows[0], hub._x))
         v, _ = hub.step(float(f))
         assert v == y
-    assert hub.velocity() == math.fsum(map(mul, hub._c, hub._x)) != 0.0
+    assert hub.velocity() == math.fsum(map(mul, hub._rows[0], hub._x)) != 0.0
 
 
 @pytest.mark.parametrize("tf", [TABLE1_HUB, INTEGRATOR], ids=["table1", "integrator"])
@@ -153,6 +154,22 @@ def test_travel_is_the_previewed_travel_bit_for_bit(tf):
         force = float(rng.normal(scale=1e3))
         assert hub.travel(force) == hub.hold_preview()[0] + hub.hold_travel * force
         hub.step(float(f))
+
+
+@pytest.mark.parametrize("tf", [TABLE1_HUB, INTEGRATOR], ids=["table1", "integrator"])
+def test_hold_preview_is_formed_once_per_step(tf):
+    # step() forms the preview terms; every read until the next step returns that tuple
+    rng = np.random.default_rng(19)
+    hub = pn.make_hub_admittance(tf, 0.001)
+    assert hub.hold_preview() == (0.0, 0.0, 0.0)
+    for f in rng.normal(scale=50.0, size=100):
+        hub.step(float(f))
+        preview = hub.hold_preview()
+        rows = [hub._rows[1], *_matmul(hub._rows[:2], hub._a)]  # travel_row, [c, travel_row] Ad
+        assert preview == tuple(math.fsum(map(mul, row, hub._x)) for row in rows)
+        hub.velocity()
+        hub.travel(1.0)
+        assert hub.hold_preview() is preview
 
 
 def test_hub_sample_period_is_a_builtin_float():
@@ -186,7 +203,7 @@ def _assert_realization_equals_scipy(tf, dt=0.001):
     """c exactly; Ad, bd, once and twice within 1e-13 of scipy's, normwise."""
     hub = pn.make_hub_admittance(tf, dt)
     want_ad, want_bd, want_c = _scipy_zoh(tf, dt)
-    assert np.array_equal(hub._c, want_c), tf
+    assert np.array_equal(hub._rows[0], want_c), tf
     mine = (hub._a, hub._b, *_hold_integrals(lambda block: _expm(block.tolist()), tf, dt))
     scipys = (want_ad, want_bd, *_hold_integrals(expm, tf, dt))
     for name, got, want in zip(("Ad", "bd", "once", "twice"), mine, scipys):

@@ -118,9 +118,8 @@ def test_required_force_is_the_floor_with_energy_to_spare():
     hub.step(1.0 / hub.hold_velocity)  # moving at 1 m/s
     ledger = HoldLedger(15.0, hub)
     ledger.energy = 100.0
-    y = hub.velocity()
-    floor = -12.0 * y
-    assert ledger.required_force(y, 50.0, floor, 3.0, 3.0) == floor
+    floor = -12.0 * hub.velocity()
+    assert ledger.required_force(50.0, floor, 3.0, 3.0) == floor
 
 
 def test_required_force_prices_a_held_force_meeting_a_resting_hub():
@@ -135,7 +134,7 @@ def test_required_force_prices_a_held_force_meeting_a_resting_hub():
     ledger.energy = start
     y, raw, u_ext, u_ext_next = hub.velocity(), -1926.0, -4.7, -4.73
     floor = -12.0 * y  # the rectangular ledger cancels raw down to -xi*y
-    s = ledger.required_force(y, raw, floor, u_ext, u_ext_next)
+    s = ledger.required_force(raw, floor, u_ext, u_ext_next)
     assert (s - floor) * y > 0.0
     at_floor = _two_sample_energy(push, floor, raw, u_ext, u_ext_next, nu, dt, start)
     at_s = _two_sample_energy(push, s, raw, u_ext, u_ext_next, nu, dt, start)
@@ -153,12 +152,11 @@ def test_target_is_e_obs_where_the_hold_does_not_bind():
     hub = pn.make_hub_admittance(TABLE1_HUB, dt)
     ledger = HoldLedger(15.0, hub)
     assert hub.velocity() == 0.0
-    assert ledger.target(0.0, 50.0, -0.5, 3.0, 3.0) == -0.5
+    assert ledger.target(50.0, -0.5, 3.0, 3.0) == -0.5
     hub.step(1.0 / hub.hold_velocity)  # moving at 1 m/s
     ledger.energy = 100.0
-    y = hub.velocity()
     for e_obs in (-0.5, 0.25):
-        assert ledger.target(y, 50.0, e_obs, 3.0, 3.0) == e_obs
+        assert ledger.target(50.0, e_obs, 3.0, 3.0) == e_obs
 
 
 def test_target_prices_the_held_force_where_the_hold_binds():
@@ -172,7 +170,7 @@ def test_target_prices_the_held_force_where_the_hold_binds():
     y, raw, u_ext, u_ext_next = hub.velocity(), -1926.0, -4.7, -4.73
     e_obs = (raw + 12.0 * y) * dt * y
     floor = raw - e_obs / (dt * y)
-    held = ledger.required_force(y, raw, floor, u_ext, u_ext_next)
+    held = ledger.required_force(raw, floor, u_ext, u_ext_next)
     assert (held - floor) * y > 0.0
-    target = ledger.target(y, raw, e_obs, u_ext, u_ext_next)
+    target = ledger.target(raw, e_obs, u_ext, u_ext_next)
     assert target == -(held - raw) * y * dt < e_obs < 0.0
