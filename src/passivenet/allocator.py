@@ -18,12 +18,7 @@ import math
 from dataclasses import dataclass, field
 from operator import mul
 
-from .errors import ConfigurationError, SimulationFault, check_positive_finite, fold
-
-# S'Q^{-1}S at or below this fraction of max(S)^2 * sum(1/q) defers the deficit.
-# In the loop every port sees the one hub output, so the two are equal and only
-# an S'Q^{-1}S that underflows to zero defers; the value matters for a general S.
-EPSILON_SINGULAR = 1e-12
+from .errors import ConfigurationError, SimulationFault, check_positive_finite
 
 
 @dataclass(frozen=True)
@@ -32,7 +27,6 @@ class WeightMatrix:
 
     diagonal: tuple[float, ...]
     inverse: tuple[float, ...] = field(init=False, repr=False, compare=False)  # 1/q_i
-    inverse_sum: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.diagonal) == 0:
@@ -40,10 +34,9 @@ class WeightMatrix:
         diagonal = tuple(
             check_positive_finite(q, "weight matrix diagonal entry") for q in self.diagonal
         )
-        inverse = tuple(1.0 / q for q in diagonal)
+        inverse = tuple(check_positive_finite(1.0 / q, "inverse weight 1/q") for q in diagonal)
         object.__setattr__(self, "diagonal", diagonal)  # builtin floats, as the gains are
         object.__setattr__(self, "inverse", inverse)
-        object.__setattr__(self, "inverse_sum", fold(inverse))
 
     def __len__(self) -> int:
         return len(self.diagonal)
@@ -61,11 +54,11 @@ class AllocationResult:
 def allocate(e_obs: float, squared_outputs, weights: WeightMatrix, dt: float) -> AllocationResult:
     """Compute the per-port damping gain vector for one step.
 
-    The singularity guard is scale-relative: the deficit branch defers
-    (gains stay zero, the deficit rides forward in the ledger) only when
-    S' Q^{-1} S is negligible against max(S)^2 * sum(1/q), which keeps the
-    decision invariant under rescaling of Q or of the output units and
-    means any genuinely nonzero S fires.
+    With Q diagonal and S >= 0 every term of S' Q^{-1} S is nonnegative, so
+    the sum cancels nothing and needs no conditioning threshold: a deficit
+    fires whenever S' Q^{-1} S > 0 and defers (gains stay zero, the deficit
+    rides forward in the ledger) only when it is 0, that is S = 0 or every
+    S_i^2/q_i underflows.  An S' Q^{-1} S past float range is a SimulationFault.
     """
     dt = check_positive_finite(dt)
     if not math.isfinite(e_obs):
@@ -89,9 +82,13 @@ def allocate(e_obs: float, squared_outputs, weights: WeightMatrix, dt: float) ->
 
     if e_obs < 0.0:
         s_over_q = [si * r for si, r in zip(s, weights.inverse)]
-        denom = math.fsum(map(mul, s, s_over_q))  # S' Q^{-1} S, exactly rounded
-        scale = max(s) ** 2 * weights.inverse_sum
-        if scale > 0.0 and denom > EPSILON_SINGULAR * scale:
+        try:  # S' Q^{-1} S, exactly rounded; fsum raises on finite terms that sum past range
+            denom = math.fsum(map(mul, s, s_over_q))
+        except OverflowError:
+            denom = math.inf
+        if denom == math.inf:
+            raise SimulationFault(f"S'Q^-1 S overflows float range for S = {s!r}")
+        if denom > 0.0:
             lam = (-e_obs / dt) / denom
             gains = tuple([v * lam for v in s_over_q])
             residual = math.fsum(map(mul, gains, s)) + e_obs / dt

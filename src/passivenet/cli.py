@@ -48,7 +48,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--seed-check",
         action="store_true",
-        help="validate the config, run the built-in invariant self-test suite, and exit",
+        help="validate and build the run, run the built-in invariant self-test suite, and exit",
     )
     return parser
 
@@ -72,10 +72,10 @@ def main(argv=None) -> int:
             stabilizer=False if args.no_stabilizer else None,
         )
 
+        sim = build(cfg.topology, cfg.scenario)
         if args.seed_check:
             return 0 if run_self_checks() else 1
 
-        sim = build(cfg.topology, cfg.scenario)
         trace, metrics = sim.run()
 
         out_dir = Path(args.out)

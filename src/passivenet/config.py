@@ -37,7 +37,7 @@ _OUTPUT_KEYS = {"trace", "summary", "decimation"}
 # these old defaults, which still parse; any other value is an error.
 _REMOVED_CONTROL = {
     "epsilon_singular": (
-        1e-12, "it is fixed in allocate; no value below 1 changes a run of the broadcast loop"
+        1e-12, "allocate defers only where S'Q^-1 S is 0, which needs no threshold"
     ),
     "alpha_max": (None, "a gain cap breaks the equality that keeps the stabilized loop passive"),
 }

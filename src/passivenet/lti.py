@@ -18,7 +18,7 @@ from functools import reduce
 from itertools import chain
 from operator import mul
 
-from .errors import ConfigurationError, check_positive_finite
+from .errors import ConfigurationError, SimulationFault, check_positive_finite
 
 
 @dataclass(frozen=True)
@@ -92,17 +92,15 @@ class HubState:
     * it then travels ``next_travel + hold_carry * F + hold_travel * F'``.
     """
 
-    def __init__(self, a: list, b: list, c: list, dt: float, travel_row: list, hold_travel: float):
+    def __init__(self, a: list, b: list, rows: list, dt: float, hold: tuple):
         self._a = a
         self._b = b
         self._x = [0.0] * len(b)
         self.dt = dt
         self._pos = 0.0
         self._prev_v = 0.0
-        self._rows = [c, travel_row, *_matmul([c, travel_row], a)]
-        self.hold_travel = hold_travel
-        self.hold_velocity = math.fsum(map(mul, c, b))
-        self.hold_carry = math.fsum(map(mul, travel_row, b))
+        self._rows = rows  # c, travel_row, c Ad, travel_row Ad
+        self.hold_travel, self.hold_velocity, self.hold_carry = hold
         self._v, self._preview = 0.0, (0.0, 0.0, 0.0)  # the outputs of the zero state
 
     def hold_preview(self) -> tuple[float, float, float]:
@@ -118,9 +116,12 @@ class HubState:
         v = self._v
         self._pos += self.dt * (v + self._prev_v) / 2.0
         self._prev_v = v
-        x = [math.fsum([*map(mul, row, self._x), bi * force]) for row, bi in zip(self._a, self._b)]
-        self._x = x
-        self._v, *preview = [math.fsum(map(mul, row, x)) for row in self._rows]
+        try:  # fsum raises on an overflow or on inf - inf
+            self._x = x = [math.fsum([*map(mul, row, self._x), bi * force])
+                           for row, bi in zip(self._a, self._b)]
+            self._v, *preview = [math.fsum(map(mul, row, x)) for row in self._rows]
+        except (OverflowError, ValueError):
+            raise SimulationFault("hub state overflows float range") from None
         self._preview = tuple(preview)
         return v, self._pos
 
@@ -154,15 +155,17 @@ def make_hub_admittance(tf: ContinuousTF, dt: float) -> HubState:
         once, twice = [row[n:2 * n] for row in top], [row[2 * n:] for row in top]
         ad = [[e + v for e, v in zip(*rows)] for rows in zip(eye, _matmul(a, once))]
         travel_row = _matmul([c], once)[0]
-        hold_travel = _matmul([c], twice)[0][0]  # c twice b, as b = e1
-        if not all(map(math.isfinite, chain(c, travel_row, [hold_travel], *ad, *top))):
+        out_rows = [c, travel_row, *_matmul([c, travel_row], ad)]
+        # c twice b, c bd and travel_row bd, as b = e1 and bd is the first column of once
+        hold = (_matmul([c], twice)[0][0], travel_row[0], _matmul([travel_row], once)[0][0])
+        if not all(map(math.isfinite, chain(*out_rows, hold, *ad, *top))):
             raise OverflowError
     except (OverflowError, ValueError):
         raise ConfigurationError(
             f"hub realization is not finite at dt={dt!r}: a coefficient, or the "
             "growth of an unstable pole over one sample, overflows float range"
         ) from None
-    return HubState(ad, [row[0] for row in once], c, dt, travel_row, hold_travel)
+    return HubState(ad, [row[0] for row in once], out_rows, dt, hold)
 
 
 def _matmul(p, q) -> list[list[float]]:

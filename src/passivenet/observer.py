@@ -108,9 +108,10 @@ class HoldLedger:
 
     def target(self, raw: float, e_obs: float, u_ext: float, u_ext_next: float) -> float:
         """Energy the allocator must cancel: ``e_obs``, or -(held - raw)*y*dt, y the hub's
-        velocity, where :meth:`required_force` asks for a force beyond the rectangular floor."""
+        velocity, where :meth:`required_force` asks for a force beyond the rectangular floor.
+        Where dt*y is 0 (y is, or the product underflows) no floor exists and it is ``e_obs``."""
         y, dt = self.hub.velocity(), self.hub.dt
-        if y == 0.0:
+        if dt * y == 0.0:
             return e_obs
         floor = raw - e_obs / (dt * y) if e_obs < 0.0 else raw
         held = self.required_force(raw, floor, u_ext, u_ext_next)
@@ -198,8 +199,8 @@ def _first_nonnegative(a: float, b: float, c: float, length: float):
     disc = b * b - 4.0 * a * c
     if disc < 0.0:
         return None
-    q = -0.5 * (b + math.copysign(math.sqrt(disc), b))  # nonzero, as c < 0
-    roots = [r for r in (q / a, c / q) if 0.0 < r < length]
+    q = -0.5 * (b + math.copysign(math.sqrt(disc), b))  # 0 where b, a*c underflow: t = sqrt(-c/a)
+    roots = [r for r in (q / a, c / q if q else math.sqrt(max(0.0, -c / a))) if 0.0 < r < length]
     return min(roots) if roots else None
 
 

@@ -243,6 +243,8 @@ class Simulation:
         self.ports = []
         for z, delay in zip(topology.nodes, topology.delays):
             leg = delay.halved()
+            if not math.isfinite(leg.frequency * (scenario.num_steps * dt)):
+                raise ConfigurationError(f"delay frequency {leg.frequency!r} overflows phase f*t")
             # a delay longer than the run only ever reads the cold-start 0
             length = min(leg.max_delay, scenario.duration)
             smooth = None if cut is None else FirstOrderLowpass(cut, dt)

@@ -4,8 +4,14 @@ Extreme weight ratios, a single node, a sample period that does not divide
 the delays, and 64 nodes.  Each run must finish bounded with min E_hat >=
 -1e-9, and wherever the stabilizer fired the cumulative dissipation shares
 must follow the 1/q law.
+
+Past those edges, configs whose signals leave float range must be refused
+with a ConfigurationError at build, or run to completion or to a diverged
+stop; no other exception may leave ``build`` or ``Simulation.run``.
 """
 
+import json
+import random
 from dataclasses import replace
 
 import numpy as np
@@ -54,3 +60,97 @@ def test_sample_period_that_does_not_divide_the_delays(name):
 def test_sixty_four_nodes():
     scen = pn.Scenario(kind="dual-sine", duration=1.0, dt=0.001, amplitude=20.0)
     _run_bounded(sixty_four_node_topology(), scen)
+
+
+def _outcome(topo: pn.Topology, scen: pn.Scenario) -> str:
+    try:
+        sim = pn.build(topo, scen)
+    except pn.ConfigurationError as exc:
+        return f"refused: {exc}"
+    _trace, metrics = sim.run()
+    return "diverged" if metrics.diverged else f"completed {metrics.steps}"
+
+
+def _one_nonpassive_node(num, den, amplitude, dt, duration):
+    topo = pn.Topology(hub=pn.ContinuousTF(num, den), nodes=(pn.ImpedanceTriple(-1.0, -1.0, -1.0),),
+                       delays=(pn.DelayProfile(0.02, 0.0, 0.0),), weights=pn.WeightMatrix((1.0,)),
+                       xi=0.0)
+    return topo, pn.Scenario(kind="impulse", duration=duration, dt=dt, amplitude=amplitude)
+
+
+def _table1_doc_outcome(edit) -> str:
+    doc = json.loads(pn.bundled_config_path("table1.cfg").read_text())
+    edit(doc)
+    cfg = pn.parse_config(json.dumps(doc))
+    return _outcome(cfg.topology, cfg.scenario)
+
+
+def _undelayed_huge_impulse(doc):
+    for delay in doc["topology"]["delays"]:
+        delay.update(offset=0.0, amplitude=0.0, frequency=0.0)
+    doc["topology"]["command_filter_cutoff"] = None
+    doc["scenario"].update(amplitude=1e78, duration=0.5)
+
+
+def _delay_phase_past_range(doc):
+    doc["topology"]["delays"][0]["frequency"] = 1e308
+    doc["scenario"]["duration"] = 3.0
+
+
+def test_output_whose_square_sum_overflows_stops_diverged():
+    # S'Q^{-1}S = 3*y^4 passes float range at |y| ~ 1e77
+    assert _table1_doc_outcome(_undelayed_huge_impulse) == "diverged"
+
+
+def test_hub_state_that_overflows_stops_diverged():
+    # the unstable pole grows the state to inf - inf at step 7
+    assert _outcome(*_one_nonpassive_node((1e-249,), (1.0, -982.0, 1.0), 1.0, 0.1, 2.0)) == (
+        "diverged"
+    )
+
+
+def test_deficit_where_dt_times_y_underflows_defers():
+    # y decays until dt*y underflows to 0 while a deficit stands; the allocator defers
+    topo, scen = _one_nonpassive_node((1e-229,), (1.0, 821.0), 1e100, 0.001, 1.0)
+    assert _outcome(topo, scen) == "completed 1000"
+
+
+def test_delay_phase_that_overflows_is_refused_at_build():
+    assert _table1_doc_outcome(_delay_phase_past_range) == (
+        "refused: delay frequency 1e+308 overflows phase f*t"
+    )
+
+
+def _random_adversarial(rng: random.Random):
+    """A hub of order 1-3 with coupling down to 1e-300, a passive and a nonpassive
+    node, weights over 16 decades and inputs up to 1e300."""
+    order = rng.randint(1, 3)
+    den = (1.0, *(rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-3.0, 3.5) for _ in range(order)))
+    num = tuple(rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-300.0, 0.0)
+                for _ in range(rng.randint(1, order)))
+    dt = 10.0 ** rng.uniform(-3.0, -1.0)
+    delays = []
+    for _ in range(2):
+        offset = rng.uniform(0.0, 0.2)
+        delays.append(pn.DelayProfile(offset, offset * rng.random(), rng.uniform(0.0, 50.0)))
+    topo = pn.Topology(
+        hub=pn.ContinuousTF(num, den),
+        nodes=(pn.ImpedanceTriple(*(10.0 ** rng.uniform(-2.0, 2.0) for _ in range(3))),
+               pn.ImpedanceTriple(*(-(10.0 ** rng.uniform(-2.0, 2.0)) for _ in range(3)))),
+        delays=tuple(delays),
+        weights=pn.WeightMatrix(tuple(10.0 ** rng.uniform(-8.0, 8.0) for _ in range(2))),
+        xi=rng.choice((None, 0.0, 10.0 ** rng.uniform(-3.0, 3.0))),
+        inertia_filter_cutoff=rng.choice((None, 20.0)),
+        command_filter_cutoff=rng.choice((None, 15.0)),
+    )
+    kind = rng.choice(("impulse", "dual-sine"))
+    amplitude = 10.0 ** rng.uniform(0.0, 300.0)
+    if kind == "impulse":
+        amplitude = min(amplitude, 1e300 * dt)
+    return topo, pn.Scenario(kind=kind, duration=min(2.0, 400 * dt), dt=dt, amplitude=amplitude)
+
+
+def test_random_adversarial_runs_raise_nothing_but_configuration_errors():
+    rng = random.Random(13)
+    outcomes = [_outcome(*_random_adversarial(rng)).split()[0] for _ in range(400)]
+    assert all(outcomes.count(o) > 80 for o in ("refused:", "diverged", "completed"))

@@ -22,11 +22,18 @@ def test_symmetric_split():
 
 
 def test_focused_weighting_closed_form():
-    # Q = diag(1, 1e-4, 1), S = 1s, E_obs = -1, dt = 1 -> A = (1, 1e4, 1)/10002
-    res = allocate(-1.0, np.ones(3), pn.WeightMatrix((1.0, 1e-4, 1.0)), 1.0)
-    want = np.array([1.0, 1e4, 1.0]) / 10002.0
-    np.testing.assert_allclose(res.gains, want, rtol=1e-12)
-    assert float(np.asarray(res.gains) @ np.ones(3)) == pytest.approx(1.0, rel=1e-9)
+    # Q = diag(1, 1e-4, 1), S = 1s, E_obs = -1, dt = 1 -> A = (1, 1e4, 1)/10002;
+    # Q = diag(1e-8, 1e8), S = (0, 1), E_obs = -1, dt = 1e-3 -> A = (0, 1000), an extreme
+    # ratio whose S'Q^{-1}S = 1e-8 is far below max(S)^2 * sum(1/q) = 1e8
+    for s, q, dt, want in (
+        (np.ones(3), (1.0, 1e-4, 1.0), 1.0, np.array([1.0, 1e4, 1.0]) / 10002.0),
+        (np.array([0.0, 1.0]), (1e-8, 1e8), 1e-3, np.array([0.0, 1000.0])),
+    ):
+        res = allocate(-1.0, s, pn.WeightMatrix(q), dt)
+        assert res.fired
+        np.testing.assert_allclose(res.gains, want, rtol=1e-12)
+        assert float(np.asarray(res.gains) @ s) == pytest.approx(1.0 / dt, rel=1e-9)
+        assert abs(res.constraint_residual) <= 1e-9 / dt
 
 
 def test_zero_output_defers():
@@ -42,10 +49,15 @@ def test_invalid_weights_rejected():
         pn.WeightMatrix((1.0, -2.0))
     with pytest.raises(pn.ConfigurationError):
         pn.WeightMatrix(())
+    with pytest.raises(pn.ConfigurationError, match="inverse"):  # 1/5e-324 overflows
+        pn.WeightMatrix((1.0, 5e-324))
 
 
 def test_nonfinite_inputs_fault():
     q = pn.WeightMatrix((1.0,))
+    for s in ([1e200], [1e154, 1e154]):  # an infinite S_i^2/q_i, or finite ones summing past range
+        with pytest.raises(pn.SimulationFault, match="overflows float range"):
+            allocate(-1.0, s, pn.WeightMatrix((1.0,) * len(s)), 0.001)
     with pytest.raises(pn.SimulationFault):
         allocate(float("nan"), np.ones(1), q, 0.001)
     with pytest.raises(pn.SimulationFault):

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 import passivenet as pn
 from passivenet import selfcheck
 from passivenet.cli import main
@@ -143,6 +145,25 @@ def test_overflowing_hub_is_a_configuration_error(tmp_path, capsys):
     assert rc == 2
     assert capsys.readouterr().err.startswith("passivenet: error: hub realization is not finite")
     assert not (tmp_path / "out" / "trace.csv").exists()
+
+
+@pytest.mark.parametrize("seed_check", [False, True])
+@pytest.mark.parametrize("den, xi, dt, error", [
+    ([1.0, -1.0], None, 0.001, "passivity index is undefined for an unstable model"),
+    ([1.0, -1000.0, 250000.0], 0.0, 1.0, "hub realization is not finite"),  # overflows in c Ad
+    ([1.0, -360.0], 0.0, 1.0, "hub realization is not finite"),  # in travel_row Ad
+], ids=["unstable", "c_Ad", "travel_row_Ad"])
+def test_unbuildable_run_exits_2_also_under_seed_check(tmp_path, capsys, den, xi, dt, error,
+                                                       seed_check):
+    doc = _short_doc()
+    doc["topology"].update(hub={"num": [1.0], "den": den}, xi=xi)
+    doc["scenario"]["dt"] = dt
+    flags = ["--seed-check"] if seed_check else []
+    rc = main(["--config", str(_write(tmp_path, doc)), "--out", str(tmp_path / "out"), *flags])
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert err.startswith(f"passivenet: error: {error}") and out == ""
+    assert not (tmp_path / "out").exists()
 
 
 def test_overflowing_impulse_is_a_configuration_error(tmp_path, capsys):

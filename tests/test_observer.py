@@ -5,7 +5,7 @@ import pytest
 
 import passivenet as pn
 from passivenet.errors import fold
-from passivenet.observer import HoldLedger
+from passivenet.observer import HoldLedger, _first_nonnegative
 
 from conftest import TABLE1_HUB
 
@@ -157,6 +157,10 @@ def test_target_is_e_obs_where_the_hold_does_not_bind():
     ledger.energy = 100.0
     for e_obs in (-0.5, 0.25):
         assert ledger.target(50.0, e_obs, 3.0, 3.0) == e_obs
+    hub = pn.make_hub_admittance(TABLE1_HUB, dt)
+    hub.step(1e-321 / hub.hold_velocity)  # y != 0, but dt*y underflows to 0
+    assert hub.velocity() != 0.0 == dt * hub.velocity()
+    assert HoldLedger(15.0, hub).target(50.0, -0.5, 3.0, 3.0) == -0.5
 
 
 def test_target_prices_the_held_force_where_the_hold_binds():
@@ -174,3 +178,8 @@ def test_target_prices_the_held_force_where_the_hold_binds():
     assert (held - floor) * y > 0.0
     target = ledger.target(raw, e_obs, u_ext, u_ext_next)
     assert target == -(held - raw) * y * dt < e_obs < 0.0
+
+
+def test_first_nonnegative_root_where_the_discriminant_underflows():
+    # b = 0 and 4*a*c underflows, so b*b - 4*a*c is 0: the root of 1e-200*(t^2 - 1) is 1
+    assert _first_nonnegative(1e-200, 0.0, -1e-200, math.inf) == 1.0
