@@ -21,7 +21,6 @@ from .delay import DelayLine, DelayProfile
 from .errors import ConfigurationError, SimulationFault
 from .lti import (
     ContinuousTF,
-    FirstOrderLowpass,
     ImpedanceTriple,
     NodeState,
     default_osp_grid,
@@ -51,7 +50,6 @@ __all__ = [
     "DelayLine",
     "DelayProfile",
     "EnergyLedger",
-    "FirstOrderLowpass",
     "ImpedanceTriple",
     "NodeState",
     "RunConfig",

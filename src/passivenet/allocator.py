@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from operator import mul
+from typing import NamedTuple
 
 from .errors import ConfigurationError, SimulationFault, check_positive_finite
 
@@ -42,13 +43,19 @@ class WeightMatrix:
         return len(self.diagonal)
 
 
-@dataclass(frozen=True)
-class AllocationResult:
-    """Damping gains, whether the deficit branch fired, and A'S + E_obs/dt."""
+class AllocationResult(NamedTuple):
+    """Damping gains A, whether the deficit branch fired, and the S and E_obs/dt
+    from which ``constraint_residual`` forms A'S + E_obs/dt when it is read."""
 
     gains: tuple[float, ...]
     fired: bool
-    constraint_residual: float
+    squared_outputs: tuple[float, ...]
+    energy_rate: float  # E_obs/dt
+
+    @property
+    def constraint_residual(self) -> float:
+        """A'S + E_obs/dt, its dot product exactly rounded; formed on each read."""
+        return math.fsum(map(mul, self.gains, self.squared_outputs)) + self.energy_rate
 
 
 def allocate(e_obs: float, squared_outputs, weights: WeightMatrix, dt: float) -> AllocationResult:
@@ -58,12 +65,14 @@ def allocate(e_obs: float, squared_outputs, weights: WeightMatrix, dt: float) ->
     the sum cancels nothing and needs no conditioning threshold: a deficit
     fires whenever S' Q^{-1} S > 0 and defers (gains stay zero, the deficit
     rides forward in the ledger) only when it is 0, that is S = 0 or every
-    S_i^2/q_i underflows.  An S' Q^{-1} S past float range is a SimulationFault.
+    S_i^2/q_i underflows.  An S' Q^{-1} S past float range, or a gain that is
+    not finite (lambda = (-E_obs/dt)/(S' Q^{-1} S) overflows), is a SimulationFault.
     """
-    dt = check_positive_finite(dt)
+    if not 0.0 < dt < math.inf:  # errors.check_positive_finite, inline on the step path
+        raise ConfigurationError(f"sample period must be positive and finite, got {dt!r}")
     if not math.isfinite(e_obs):
         raise SimulationFault(f"non-finite observable energy: {e_obs!r}")
-    e_obs, m = float(e_obs), len(weights)
+    dt, e_obs, m = float(dt), float(e_obs), len(weights)
     try:  # a flat sequence of numbers; a scalar, a string or a nested one raises TypeError
         s = list(squared_outputs)
         finite = all(map(math.isfinite, s))
@@ -76,7 +85,7 @@ def allocate(e_obs: float, squared_outputs, weights: WeightMatrix, dt: float) ->
         )
     if not finite:
         raise SimulationFault(f"non-finite squared-output vector: {s!r}")
-    s = list(map(float, s))  # builtin floats, so the gains are too
+    s = tuple(map(float, s))  # builtin floats, so the gains are too
     if min(s) < 0.0:
         raise SimulationFault("squared-output vector has a negative entry")
 
@@ -91,6 +100,8 @@ def allocate(e_obs: float, squared_outputs, weights: WeightMatrix, dt: float) ->
         if denom > 0.0:
             lam = (-e_obs / dt) / denom
             gains = tuple([v * lam for v in s_over_q])
-            residual = math.fsum(map(mul, gains, s)) + e_obs / dt
-            return AllocationResult(gains, True, residual)
-    return AllocationResult((0.0,) * m, False, e_obs / dt)
+            if not math.isfinite(max(gains)):  # an inf gain, and a NaN only beside one
+                raise SimulationFault(f"gains overflow float range: lambda = {lam!r} "
+                                      f"for E_obs = {e_obs!r}, S'Q^-1 S = {denom!r}")
+            return AllocationResult(gains, True, s, e_obs / dt)
+    return AllocationResult((0.0,) * m, False, s, e_obs / dt)

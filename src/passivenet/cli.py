@@ -88,6 +88,8 @@ def main(argv=None) -> int:
         print(f"passivenet: error: {exc}", file=sys.stderr)
         return 2
 
+    if sim.fault is not None:
+        print(f"passivenet: fault: {sim.fault}", file=sys.stderr)
     print(f"steps={metrics.steps} diverged={'true' if metrics.diverged else 'false'}")
     print(f"min_E_hat={metrics.min_e_hat!r} final_abs_y={metrics.final_abs_y!r}")
     print(f"trace={trace_path} summary={summary_path}")

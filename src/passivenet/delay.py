@@ -46,6 +46,8 @@ class DelayLine:
     Before t - d reaches zero the line returns the cold-start value 0.
     """
 
+    __slots__ = ("dt", "capacity", "_buf", "_n")
+
     def __init__(self, max_delay: float, dt: float):
         if not 0.0 <= max_delay < math.inf:
             raise ConfigurationError(
@@ -59,16 +61,16 @@ class DelayLine:
     def push_and_sample(self, sample: float, d: float) -> float:
         if d < 0.0:
             raise ConfigurationError("requested delay must be nonnegative")
-        n = self._n
-        self._buf[n % self.capacity] = sample
+        n, dt, capacity, buf = self._n, self.dt, self.capacity, self._buf
+        buf[n % capacity] = sample
         self._n = n + 1
-        k = int(math.floor((n - d / self.dt) + 0.5))
+        k = math.floor((n - d / dt) + 0.5)
         # cold start: k < 0, or t = n*dt short of d; k >= 1 puts t - d near dt/2 or above
-        if k < 1 and (k < 0 or n * self.dt < d):
+        if k < 1 and (k < 0 or n * dt < d):
             return 0.0
-        if n - k >= self.capacity:
+        if n - k >= capacity:
             raise ConfigurationError(
                 f"requested delay {d} exceeds the line capacity "
-                f"({self.capacity} samples at dt={self.dt})"
+                f"({capacity} samples at dt={dt})"
             )
-        return self._buf[k % self.capacity]
+        return buf[k % capacity]

@@ -56,20 +56,6 @@ class ImpedanceTriple:
             object.__setattr__(self, name, float(getattr(self, name)))
 
 
-class FirstOrderLowpass:
-    """Backward-Euler one-pole low-pass, y[n] = y[n-1] + beta*(x[n] - y[n-1])."""
-
-    def __init__(self, cutoff: float, dt: float):
-        check_positive_finite(cutoff, "low-pass cutoff")
-        check_positive_finite(dt)
-        self._beta = (cutoff * dt) / (1.0 + cutoff * dt)
-        self._y = 0.0
-
-    def filter(self, x: float) -> float:
-        self._y += self._beta * (x - self._y)
-        return self._y
-
-
 class HubState:
     """Hold-equivalent discrete realization of the hub admittance.
 
@@ -197,29 +183,47 @@ class NodeState:
     """Discrete mass-damper-spring impedance, velocity in, force out.
 
     f[n] = m*(v[n] - v[n-1])/dt + b*v[n] + k*I[n], with I[n] the trapezoidal
-    integral of v.  When ``derivative_cutoff`` is set, the backward-difference
-    term is passed through a one-pole low-pass; the filtered inertia
-    m*s*wc/(s+wc) keeps Re >= 0 at all frequencies, so a passive triple stays
-    passive.
+    integral of v.  Each cutoff that is set adds a backward-Euler one-pole
+    low-pass y[n] = y[n-1] + beta*(x[n] - y[n-1]), beta = wc*dt/(1 + wc*dt):
+    ``command_cutoff`` smooths the velocity command before the node takes it,
+    and ``derivative_cutoff`` filters the backward-difference term; the
+    filtered inertia m*s*wc/(s+wc) keeps Re >= 0 at all frequencies, so a
+    passive triple stays passive.
     """
 
-    def __init__(self, triple: ImpedanceTriple, dt: float, derivative_cutoff: float | None = None):
+    __slots__ = ("triple", "dt", "_prev_v", "_integral", "_command", "_command_beta",
+                 "_derivative", "_derivative_beta")
+
+    def __init__(self, triple: ImpedanceTriple, dt: float, derivative_cutoff: float | None = None,
+                 command_cutoff: float | None = None):
         self.triple = triple
         self.dt = check_positive_finite(dt)
-        self._prev_v = 0.0
-        self._integral = 0.0
-        self._dfilter = (
-            None if derivative_cutoff is None else FirstOrderLowpass(derivative_cutoff, dt)
-        )
+        self._prev_v = self._integral = self._command = self._derivative = 0.0
+        self._command_beta = _lowpass_beta(command_cutoff, self.dt)
+        self._derivative_beta = _lowpass_beta(derivative_cutoff, self.dt)
 
     def step(self, v: float) -> float:
-        z = self.triple
-        self._integral += self.dt * (v + self._prev_v) / 2.0
-        dv = (v - self._prev_v) / self.dt
-        if self._dfilter is not None:
-            dv = self._dfilter.filter(dv)
+        dt, prev, z = self.dt, self._prev_v, self.triple
+        beta = self._command_beta
+        if beta is not None:  # both low-passes inline: a helper would be called 2M times a step
+            y = self._command
+            v = self._command = y + beta * (v - y)
+        self._integral = integral = self._integral + dt * (v + prev) / 2.0
+        dv = (v - prev) / dt
+        beta = self._derivative_beta
+        if beta is not None:
+            y = self._derivative
+            dv = self._derivative = y + beta * (dv - y)
         self._prev_v = v
-        return z.m * dv + z.b * v + z.k * self._integral
+        return z.m * dv + z.b * v + z.k * integral
+
+
+def _lowpass_beta(cutoff: float | None, dt: float) -> float | None:
+    """The low-pass beta for ``cutoff``, or None where no cutoff is set."""
+    if cutoff is None:
+        return None
+    cutoff = check_positive_finite(cutoff, "low-pass cutoff")
+    return (cutoff * dt) / (1.0 + cutoff * dt)
 
 
 def default_osp_grid() -> tuple[float, ...]:

@@ -24,6 +24,7 @@ stored energy by the work of the external input.
 from __future__ import annotations
 
 import math
+from operator import add
 
 from .errors import SimulationFault, check_positive_finite, fold
 
@@ -78,7 +79,7 @@ class EnergyLedger:
             return
         w = self.dt * self._y * self._y
         injected = [w * a for a in gains]
-        self.dissipated = [d + i for d, i in zip(self.dissipated, injected)]
+        self.dissipated = list(map(add, self.dissipated, injected))
         self.controlled_energy = self.observable_energy + fold(injected)
 
 

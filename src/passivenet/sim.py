@@ -4,8 +4,9 @@ Per-step pipeline (one sample period, no feedthrough anywhere):
 
 1. read the external input u_ext[n]
 2. peek the hub velocity y[n]
-3. forward-delay y to each node, step the node impedance, backward-delay the
-   node force back to the hub port, giving the raw feedback u_i[n]
+3. forward-delay y to each node, step the node (its command filter, when set,
+   then its impedance), backward-delay the node force back to the hub port,
+   giving the raw feedback u_i[n]
 4. observer ingest of y and the summed raw feedback -> observable energy E_obs[n]
 5. hold ledger -> the energy to cancel: E_obs[n], or more where the exact
    held-force energy needs it (see :class:`passivenet.observer.HoldLedger`)
@@ -30,14 +31,7 @@ from typing import NamedTuple
 from .allocator import WeightMatrix, allocate
 from .delay import DelayLine, DelayProfile
 from .errors import ConfigurationError, SimulationFault, check_positive_finite, fold
-from .lti import (
-    ContinuousTF,
-    FirstOrderLowpass,
-    ImpedanceTriple,
-    NodeState,
-    estimate_osp_index,
-    make_hub_admittance,
-)
+from .lti import ContinuousTF, ImpedanceTriple, NodeState, estimate_osp_index, make_hub_admittance
 from .observer import EnergyLedger, HoldLedger
 
 # run() stops, diverged, once |y| or -E_obs exceeds these.
@@ -57,7 +51,7 @@ class Topology:
     ``inertia_filter_cutoff`` bandlimits each node's inertial force path
     (required for a well-posed sampled interconnection; None disables).
     ``command_filter_cutoff`` smooths the delayed velocity command each node
-    receives (None disables).
+    receives, inside the node (None disables).
     """
 
     hub: ContinuousTF
@@ -238,8 +232,7 @@ class Simulation:
             topology.xi if topology.xi is not None else estimate_osp_index(topology.hub)
         )
         self.hub = make_hub_admittance(topology.hub, dt)
-        cut = topology.command_filter_cutoff
-        # per node: one leg's delay law, forward line, command filter, node, backward line
+        # per node, bound once: one leg's delay law, forward push, node step, backward push
         self.ports = []
         for z, delay in zip(topology.nodes, topology.delays):
             leg = delay.halved()
@@ -247,9 +240,9 @@ class Simulation:
                 raise ConfigurationError(f"delay frequency {leg.frequency!r} overflows phase f*t")
             # a delay longer than the run only ever reads the cold-start 0
             length = min(leg.max_delay, scenario.duration)
-            smooth = None if cut is None else FirstOrderLowpass(cut, dt)
-            node = NodeState(z, dt, topology.inertia_filter_cutoff)
-            self.ports.append((leg, DelayLine(length, dt), smooth, node, DelayLine(length, dt)))
+            node = NodeState(z, dt, topology.inertia_filter_cutoff, topology.command_filter_cutoff)
+            self.ports.append((leg.delay_at, DelayLine(length, dt).push_and_sample, node.step,
+                               DelayLine(length, dt).push_and_sample))
         self.ledger = EnergyLedger(dt, self.xi, topology.num_nodes)
         self.hold_ledger = HoldLedger(
             self.xi if topology.xi is None else _hold_credit(topology.hub), self.hub
@@ -258,6 +251,7 @@ class Simulation:
         self.num_steps = scenario.num_steps
         self.n = 0
         self.trace = Trace(dt, self.xi, topology.num_nodes)
+        self.fault: str | None = None  # the message of the SimulationFault that ended run()
 
     def step(self) -> bool:
         """Advance one sample period and append its row to ``self.trace``.
@@ -277,13 +271,8 @@ class Simulation:
         self._next_input = scen.input_at(n + 1)
         y = self.hub.velocity()
 
-        u = []
-        for leg, forward, smooth, node, backward in self.ports:
-            d_leg = leg.delay_at(t)
-            v = forward.push_and_sample(y, d_leg)
-            if smooth is not None:
-                v = smooth.filter(v)
-            u.append(backward.push_and_sample(node.step(v), d_leg))
+        u = [backward(node(forward(y, d := delay_at(t))), d)
+             for delay_at, forward, node, backward in self.ports]
 
         raw = fold(u)
         e_obs = self.ledger.ingest_step(y, raw)
@@ -315,14 +304,15 @@ class Simulation:
         """Step to the configured duration or until a divergence limit trips.
 
         The step that crosses a limit is recorded, then the run stops.  A step
-        that faults ends the run unrecorded, so every recorded cell is finite.
+        that faults ends the run unrecorded, so every recorded cell is finite,
+        and leaves its message in ``fault``.
         """
         diverged = False
         try:
             while not diverged and self.n < self.num_steps:
                 diverged = self.step()
-        except SimulationFault:
-            diverged = True
+        except SimulationFault as exc:
+            diverged, self.fault = True, str(exc)
         return self.trace, summarize(self.trace, diverged)
 
 

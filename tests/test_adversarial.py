@@ -102,6 +102,37 @@ def test_output_whose_square_sum_overflows_stops_diverged():
     assert _table1_doc_outcome(_undelayed_huge_impulse) == "diverged"
 
 
+def test_fault_that_ends_a_run_keeps_its_message():
+    doc = json.loads(pn.bundled_config_path("table1.cfg").read_text())
+    _undelayed_huge_impulse(doc)
+    cfg = pn.parse_config(json.dumps(doc))
+    sim = pn.build(cfg.topology, cfg.scenario)
+    trace, metrics = sim.run()
+    assert metrics.diverged and metrics.steps == len(trace) == 1  # the faulting step is unrecorded
+    assert sim.fault.startswith("S'Q^-1 S overflows float range")
+    topo, scen = _bundled("table1.cfg")
+    sim = pn.build(topo, replace(scen, duration=0.1))
+    assert not sim.run()[1].diverged and sim.fault is None
+
+
+def test_gain_past_float_range_stops_diverged_unrecorded():
+    # draw 364 of the seed-14 sweep: at step 6 lambda overflows, as the hub force did before
+    topo = pn.Topology(
+        hub=pn.ContinuousTF((-3.3637636299956923e-279,), (1.0, 8.630093244129561, 2010.4437913730562)),
+        nodes=(pn.ImpedanceTriple(5.531567103959463, 0.9555915193512127, 7.623466666649259),
+               pn.ImpedanceTriple(-20.96006933042079, -0.49926202781403956, -0.04376576936522181)),
+        delays=(pn.DelayProfile(0.17893273509723367, 0.032762527619744596, 41.104317576885315),
+                pn.DelayProfile(0.12941939170759278, 0.026489471373530648, 48.74208255829244)),
+        weights=pn.WeightMatrix((134618.43690282715, 2.519248379041506e-05)),
+        xi=0.0, inertia_filter_cutoff=None)
+    scen = pn.Scenario(kind="impulse", duration=2.0, dt=0.03790921960576471,
+                       amplitude=1.626422538386688e+216)
+    sim = pn.build(topo, scen)
+    trace, metrics = sim.run()
+    assert metrics.diverged and metrics.steps == len(trace) == 6
+    assert sim.fault.startswith("gains overflow float range: lambda = inf")
+
+
 def test_hub_state_that_overflows_stops_diverged():
     # the unstable pole grows the state to inf - inf at step 7
     assert _outcome(*_one_nonpassive_node((1e-249,), (1.0, -982.0, 1.0), 1.0, 0.1, 2.0)) == (

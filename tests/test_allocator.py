@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -64,6 +65,33 @@ def test_nonfinite_inputs_fault():
         allocate(-1.0, np.array([float("inf")]), q, 0.001)
     with pytest.raises(pn.SimulationFault):
         allocate(-1.0, np.array([-1.0]), q, 0.001)
+
+
+@pytest.mark.parametrize("s, q", [
+    ([1e-160], (1.0,)),  # lambda = 1e303/1e-320 overflows
+    ([1e-160, 0.0], (1.0, 1.0)),  # and the S_i = 0 port would get 0*inf = NaN
+    ([1e-10], (1e-300,)),  # lambda = 1e23 is finite, its gain 1e290*lambda is not
+])
+def test_gain_past_float_range_faults(s, q):
+    with pytest.raises(pn.SimulationFault, match="gains overflow float range"):
+        allocate(-1e300, s, pn.WeightMatrix(q), 1e-3)
+
+
+def test_residual_is_formed_when_read_bit_for_bit():
+    rng = random.Random(37)
+    fired = []
+    for _ in range(300):
+        e_obs, s, q, dt = random_allocation(rng)
+        if rng.random() < 0.3:
+            e_obs = -e_obs if rng.random() < 0.5 else e_obs
+            s = [0.0] * len(s) if e_obs < 0.0 else s  # deferred: no deficit, or S = 0
+        res = allocate(e_obs, s, q, dt)
+        want = math.fsum(g * si for g, si in zip(res.gains, s)) + e_obs / dt
+        assert res.constraint_residual.hex() == want.hex()
+        assert type(res.fired) is bool and type(res.gains) is tuple
+        assert all(type(g) is float for g in res.gains)
+        fired.append(res.fired)
+    assert 100 < sum(fired) < 300
 
 
 def test_randomized_kkt_residual():

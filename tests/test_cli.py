@@ -175,6 +175,21 @@ def test_overflowing_impulse_is_a_configuration_error(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_run_ended_by_a_fault_prints_its_message(tmp_path, capsys):
+    # test_adversarial's 1e78 impulse, undelayed: S'Q^-1 S = 3*y^4 overflows at step 1
+    doc = _short_doc(kind="impulse", duration=0.5)
+    for delay in doc["topology"]["delays"]:
+        delay.update(offset=0.0, amplitude=0.0, frequency=0.0)
+    doc["topology"]["command_filter_cutoff"] = None
+    doc["scenario"]["amplitude"] = 1e78
+    rc = main(["--config", str(_write(tmp_path, doc)), "--out", str(tmp_path / "out")])
+    assert rc == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("steps=1 diverged=true")
+    assert err.startswith("passivenet: fault: S'Q^-1 S overflows float range")
+    assert pn.read_summary(tmp_path / "out" / "summary.txt")["diverged"] == "true"
+
+
 def test_unwritable_output_is_reported(tmp_path, capsys):
     cfg = _write(tmp_path, _short_doc(duration=0.05))
     blocker = tmp_path / "blocked"

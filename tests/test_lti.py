@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from operator import mul
@@ -349,6 +350,52 @@ def test_filtered_inertia_stays_passive():
     )
     forces = np.asarray([node.step(float(vi)) for vi in v])
     assert dt * float(np.dot(forces, v)) >= -1e-6
+
+
+class _ReferenceLowpass:
+    """Backward-Euler one-pole low-pass, y[n] = y[n-1] + beta*(x[n] - y[n-1])."""
+
+    def __init__(self, cutoff, dt):
+        self._beta = (cutoff * dt) / (1.0 + cutoff * dt)
+        self._y = 0.0
+
+    def filter(self, x):
+        self._y += self._beta * (x - self._y)
+        return self._y
+
+
+def _reference_filtered_node(triple, dt, command_cutoff, derivative_cutoff):
+    """A node step composed of separate low-pass objects: the command filter in
+    front of the node, the derivative filter on its backward difference."""
+    command = None if command_cutoff is None else _ReferenceLowpass(command_cutoff, dt)
+    derivative = None if derivative_cutoff is None else _ReferenceLowpass(derivative_cutoff, dt)
+    state = {"prev": 0.0, "integral": 0.0}
+
+    def step(v):
+        if command is not None:
+            v = command.filter(v)
+        state["integral"] += dt * (v + state["prev"]) / 2.0
+        dv = (v - state["prev"]) / dt
+        if derivative is not None:
+            dv = derivative.filter(dv)
+        state["prev"] = v
+        return triple.m * dv + triple.b * v + triple.k * state["integral"]
+
+    return step
+
+
+@pytest.mark.parametrize("command_cutoff, derivative_cutoff",
+                         [(15.0, None), (None, 20.0), (15.0, 20.0), (None, None)])
+def test_node_filters_match_the_lowpass_composition_bit_for_bit(command_cutoff,
+                                                                 derivative_cutoff):
+    rng = random.Random(14)
+    triple, dt = pn.ImpedanceTriple(-2.0, 5.0, 400.0), 0.001
+    node = pn.NodeState(triple, dt, derivative_cutoff=derivative_cutoff,
+                        command_cutoff=command_cutoff)
+    reference = _reference_filtered_node(triple, dt, command_cutoff, derivative_cutoff)
+    for _ in range(5000):
+        v = rng.gauss(0.0, 1.0) * 10.0 ** rng.uniform(-3.0, 3.0)
+        assert node.step(v).hex() == reference(v).hex()
 
 
 def test_osp_index_table1_hub():

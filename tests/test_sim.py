@@ -252,8 +252,8 @@ _Z = pn.ImpedanceTriple(10.0, 5.0, 400.0)
 SAMPLE_PERIOD_USERS = {
     "allocate": lambda dt: pn.allocate(-1.0, np.ones(3), pn.WeightMatrix((1.0,) * 3), dt),
     "DelayLine": lambda dt: pn.DelayLine(0.1, dt),
-    "FirstOrderLowpass.cutoff": lambda v: pn.FirstOrderLowpass(v, 0.001),
-    "FirstOrderLowpass.dt": lambda dt: pn.FirstOrderLowpass(20.0, dt),
+    "NodeState.command_cutoff": lambda v: pn.NodeState(_Z, 0.001, command_cutoff=v),
+    "NodeState.derivative_cutoff": lambda v: pn.NodeState(_Z, 0.001, derivative_cutoff=v),
     "make_hub_admittance": lambda dt: pn.make_hub_admittance(TABLE1_HUB, dt),
     "NodeState": lambda dt: pn.NodeState(_Z, dt),
     "EnergyLedger": lambda dt: pn.EnergyLedger(dt, 1.0, 3),
