@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from math import ceil, copysign, floor, inf, isfinite, sin
 
 from .errors import ConfigurationError, check_positive_finite
 
@@ -17,7 +17,7 @@ class DelayProfile:
     frequency: float
 
     def __post_init__(self):
-        if not all(math.isfinite(v) for v in (self.offset, self.amplitude, self.frequency)):
+        if not all(isfinite(v) for v in (self.offset, self.amplitude, self.frequency)):
             raise ConfigurationError("delay profile parameters must be finite")
         if self.offset - abs(self.amplitude) < 0.0:
             raise ConfigurationError(
@@ -26,7 +26,7 @@ class DelayProfile:
             )
 
     def delay_at(self, t: float) -> float:
-        return self.offset + self.amplitude * math.sin(self.frequency * t)
+        return self.offset + self.amplitude * sin(self.frequency * t)
 
     @property
     def max_delay(self) -> float:
@@ -35,6 +35,21 @@ class DelayProfile:
     def halved(self) -> "DelayProfile":
         """One leg of a round trip split 50/50."""
         return DelayProfile(self.offset / 2.0, self.amplitude / 2.0, self.frequency)
+
+
+def delay_evaluator(legs):
+    """``t -> [leg.delay_at(t) for leg in legs]``, bit for bit, with one sine per distinct
+    frequency (keyed with its sign, as sin(-0.0 * t) is -0.0)."""
+    sine_of = {}  # (frequency, sign) -> index of its sine
+    terms = [(leg.offset, leg.amplitude, sine_of.setdefault(
+        (leg.frequency, copysign(1.0, leg.frequency)), len(sine_of))) for leg in legs]
+    frequencies = [f for f, _ in sine_of]
+
+    def delays_at(t: float) -> list[float]:
+        sines = [sin(f * t) for f in frequencies]
+        return [offset + amplitude * sines[j] for offset, amplitude, j in terms]
+
+    return delays_at
 
 
 class DelayLine:
@@ -49,28 +64,26 @@ class DelayLine:
     __slots__ = ("dt", "capacity", "_buf", "_n")
 
     def __init__(self, max_delay: float, dt: float):
-        if not 0.0 <= max_delay < math.inf:
+        if not 0.0 <= max_delay < inf:
             raise ConfigurationError(
                 f"maximum delay must be nonnegative and finite, got {max_delay!r}"
             )
         self.dt = check_positive_finite(dt)
-        self.capacity = int(math.ceil(max_delay / dt)) + 2
+        self.capacity = ceil(max_delay / dt) + 2
         self._buf = [0.0] * self.capacity
         self._n = 0  # index of the next push
 
     def push_and_sample(self, sample: float, d: float) -> float:
         if d < 0.0:
             raise ConfigurationError("requested delay must be nonnegative")
-        n, dt, capacity, buf = self._n, self.dt, self.capacity, self._buf
+        n, capacity, buf = self._n, self.capacity, self._buf
         buf[n % capacity] = sample
         self._n = n + 1
-        k = math.floor((n - d / dt) + 0.5)
+        k = floor((n - d / self.dt) + 0.5)
         # cold start: k < 0, or t = n*dt short of d; k >= 1 puts t - d near dt/2 or above
-        if k < 1 and (k < 0 or n * dt < d):
+        if k < 1 and (k < 0 or n * self.dt < d):
             return 0.0
         if n - k >= capacity:
-            raise ConfigurationError(
-                f"requested delay {d} exceeds the line capacity "
-                f"({capacity} samples at dt={dt})"
-            )
+            raise ConfigurationError(f"requested delay {d} exceeds the line capacity "
+                                     f"({capacity} samples at dt={self.dt})")
         return buf[k % capacity]

@@ -44,7 +44,6 @@ class EnergyLedger:
             raise SimulationFault("ledger needs at least one port")
         self.dt = check_positive_finite(dt)
         self.xi = _check_credit(xi)
-        self.num_ports = num_ports
         self.dissipated = [0.0] * num_ports  # D_i, reporting only
         self.observable_energy = 0.0  # E_obs at the last ingest
         self.controlled_energy = 0.0  # E_hat

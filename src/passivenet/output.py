@@ -13,7 +13,7 @@ from .sim import SummaryMetrics, Trace
 
 # Trace values formatted per write: the writer's memory is bounded by this,
 # not by the length of the trace.
-CHUNK_VALUES = 1 << 15
+CHUNK_VALUES = 1 << 12
 
 
 def trace_header(num_nodes: int) -> str:

@@ -4,9 +4,10 @@ Per-step pipeline (one sample period, no feedthrough anywhere):
 
 1. read the external input u_ext[n]
 2. peek the hub velocity y[n]
-3. forward-delay y to each node, step the node (its command filter, when set,
-   then its impedance), backward-delay the node force back to the hub port,
-   giving the raw feedback u_i[n]
+3. form every port's one-leg delay d_i(t) in one pass (one sine per distinct
+   frequency, see :func:`passivenet.delay.delay_evaluator`), forward-delay y
+   by d_i, step the node (its command filter, when set, then its impedance)
+   and backward-delay its force by d_i to the hub port: the raw feedback u_i[n]
 4. observer ingest of y and the summed raw feedback -> observable energy E_obs[n]
 5. hold ledger -> the energy to cancel: E_obs[n], or more where the exact
    held-force energy needs it (see :class:`passivenet.observer.HoldLedger`)
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .allocator import WeightMatrix, allocate
-from .delay import DelayLine, DelayProfile
+from .delay import DelayLine, DelayProfile, delay_evaluator
 from .errors import ConfigurationError, SimulationFault, check_positive_finite, fold
 from .lti import ContinuousTF, ImpedanceTriple, NodeState, estimate_osp_index, make_hub_admittance
 from .observer import EnergyLedger, HoldLedger
@@ -228,20 +229,19 @@ class Simulation:
         self.topology = topology
         self.scenario = scenario
         dt = scenario.dt
-        self.xi = (
-            topology.xi if topology.xi is not None else estimate_osp_index(topology.hub)
-        )
+        self.xi = topology.xi if topology.xi is not None else estimate_osp_index(topology.hub)
         self.hub = make_hub_admittance(topology.hub, dt)
-        # per node, bound once: one leg's delay law, forward push, node step, backward push
+        legs = [delay.halved() for delay in topology.delays]
+        self.delays_at = delay_evaluator(legs)  # t -> every port's one-leg delay d, in order
+        # per node, bound once: forward push, node step, backward push (d from self.delays_at)
         self.ports = []
-        for z, delay in zip(topology.nodes, topology.delays):
-            leg = delay.halved()
+        for z, leg in zip(topology.nodes, legs):
             if not math.isfinite(leg.frequency * (scenario.num_steps * dt)):
                 raise ConfigurationError(f"delay frequency {leg.frequency!r} overflows phase f*t")
             # a delay longer than the run only ever reads the cold-start 0
             length = min(leg.max_delay, scenario.duration)
             node = NodeState(z, dt, topology.inertia_filter_cutoff, topology.command_filter_cutoff)
-            self.ports.append((leg.delay_at, DelayLine(length, dt).push_and_sample, node.step,
+            self.ports.append((DelayLine(length, dt).push_and_sample, node.step,
                                DelayLine(length, dt).push_and_sample))
         self.ledger = EnergyLedger(dt, self.xi, topology.num_nodes)
         self.hold_ledger = HoldLedger(
@@ -271,8 +271,8 @@ class Simulation:
         self._next_input = scen.input_at(n + 1)
         y = self.hub.velocity()
 
-        u = [backward(node(forward(y, d := delay_at(t))), d)
-             for delay_at, forward, node, backward in self.ports]
+        u = [backward(node(forward(y, d)), d)
+             for d, (forward, node, backward) in zip(self.delays_at(t), self.ports)]
 
         raw = fold(u)
         e_obs = self.ledger.ingest_step(y, raw)
@@ -323,10 +323,7 @@ def summarize(trace: Trace, diverged: bool) -> SummaryMetrics:
     last = trace.records[-1]
     dissipated = last.dissipated
     total = fold(dissipated)
-    if total > 0.0:
-        shares = tuple(d / total for d in dissipated)
-    else:
-        shares = (0.0,) * len(dissipated)
+    shares = tuple(d / total for d in dissipated) if total > 0.0 else (0.0,) * len(dissipated)
     return SummaryMetrics(
         diverged=diverged,
         min_e_hat=min(trace.data[trace.width - 1::trace.width]),

@@ -31,11 +31,11 @@ def table1_topology(**overrides) -> pn.Topology:
     return pn.Topology(**kwargs)
 
 
-def sixty_four_node_topology() -> pn.Topology:
-    """table1's passive triples scaled by 3/M * U[0.5, 2], a random half of
-    them sign-flipped, round-trip delays of 50-150 ms, log-uniform weights."""
+def driven_topology(m: int = 64) -> pn.Topology:
+    """The driven benchmark's network at M = ``m``: table1's passive triples
+    scaled by 3/M * U[0.5, 2], a random half of them sign-flipped, round-trip
+    delays of 50-150 ms at 20 rad/s, log-uniform weights."""
     rng = np.random.default_rng(64)
-    m = 64
     flipped = set(rng.permutation(m)[: m // 2].tolist())
     triples = ((10.0, 5.0, 400.0), (10.0, 5.0, 400.0), (20.0, 10.0, 800.0))
     nodes = []

@@ -19,7 +19,7 @@ import pytest
 
 import passivenet as pn
 
-from conftest import sixty_four_node_topology
+from conftest import driven_topology
 
 
 def _bundled(name: str):
@@ -59,7 +59,7 @@ def test_sample_period_that_does_not_divide_the_delays(name):
 
 def test_sixty_four_nodes():
     scen = pn.Scenario(kind="dual-sine", duration=1.0, dt=0.001, amplitude=20.0)
-    _run_bounded(sixty_four_node_topology(), scen)
+    _run_bounded(driven_topology(), scen)
 
 
 def _outcome(topo: pn.Topology, scen: pn.Scenario) -> str:

@@ -1,10 +1,12 @@
 import math
+import random
 
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
 import passivenet as pn
+from passivenet.delay import delay_evaluator
 
 
 def test_delay_law_values():
@@ -25,6 +27,25 @@ def test_delay_profile_invariant():
 def test_halved_profile():
     p = pn.DelayProfile(0.1, 0.025, 20.0).halved()
     assert (p.offset, p.amplitude, p.frequency) == (0.05, 0.0125, 20.0)
+
+
+def test_delay_evaluator_gives_the_bits_of_delay_at():
+    # repeated, distinct and zero frequencies (-0.0 too, whose sine is -0.0) and
+    # negative amplitudes, in interleaved port order; a zero offset lets a signed
+    # zero show
+    rng = random.Random(15)
+    for dt in (0.001, 0.0007, 0.013):
+        pool = [20.0, 20.0, -20.0, 7.5, 0.0, -0.0, rng.uniform(-50.0, 50.0)]
+        legs = [pn.DelayProfile(0.0, 0.0, -0.0), pn.DelayProfile(-0.0, -0.0, 0.0)]
+        for _ in range(30):
+            offset = rng.uniform(0.0, 0.2)
+            legs.append(pn.DelayProfile(offset, rng.uniform(-offset, offset), rng.choice(pool)))
+        rng.shuffle(legs)
+        delays_at = delay_evaluator(legs)
+        for n in range(3000):
+            got, want = delays_at(n * dt), [leg.delay_at(n * dt) for leg in legs]
+            assert got == want and list(map(repr, got)) == list(map(repr, want))
+    assert delay_evaluator([])(0.5) == []
 
 
 def test_zero_delay_is_identity():

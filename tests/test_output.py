@@ -95,6 +95,19 @@ def test_writer_memory_does_not_grow_with_trace_length(tmp_path):
     assert peak_long < size_long  # the file is streamed, never held whole
 
 
+def test_writer_peak_on_a_wide_trace_stays_small(tmp_path):
+    # 64 nodes at full-precision values: about 4.9 kB a row, 2.4 MB of CSV in all
+    rng = random.Random(64)
+    pool = [[rng.uniform(-1e3, 1e3) for _ in range(64)] for _ in range(16)]
+    trace = Trace(dt=0.001, xi=1.0, num_nodes=64)
+    for n in range(500):
+        trace.append(n * 0.001, *pool[n % 13][:3], *pool[n % 11:n % 11 + 4], *pool[n % 7][3:5])
+    path = tmp_path / "wide.csv"
+    peak = _peak_write_bytes(trace, path)
+    assert path.stat().st_size > 2_000_000
+    assert peak < 1_000_000  # a chunk of formatted rows, never many chunks at once
+
+
 def test_summary_round_trip(tmp_path):
     metrics = SummaryMetrics(
         diverged=False,

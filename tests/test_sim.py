@@ -15,7 +15,7 @@ from conftest import (
     TABLE1_DELAYS,
     TABLE1_HUB,
     TABLE1_NODES,
-    sixty_four_node_topology,
+    driven_topology,
     table1_topology,
 )
 
@@ -168,7 +168,7 @@ RECORD_RUNS = {
     "table1": lambda: _bundled_second("table1.cfg"),
     "table1_nostab": lambda: _bundled_second("table1_nostab.cfg"),
     "sixty_four_nodes": lambda: (
-        sixty_four_node_topology(),
+        driven_topology(),
         pn.Scenario(kind="dual-sine", duration=1.0, dt=0.001, amplitude=20.0),
     ),
     "numpy_scalar_inputs": _numpy_scalar_inputs,
@@ -319,7 +319,7 @@ def test_records_view_is_a_lazy_read_only_sequence():
 
 def test_trace_stores_one_packed_row_per_step():
     sim = pn.build(
-        sixty_four_node_topology(),
+        driven_topology(),
         pn.Scenario(kind="dual-sine", duration=1.0, dt=0.001, amplitude=20.0),
     )
     for _ in range(800):
@@ -339,3 +339,54 @@ def test_trace_stores_one_packed_row_per_step():
     # nothing else accumulates per step (about 25 kB of state is replaced
     # while tracing)
     assert grown <= rows + 64 * 1024
+
+
+def test_ports_match_a_per_port_reference_loop():
+    # every port is backward(node(forward(y, d)), d) with d = leg.delay_at(t),
+    # whichever ports share a frequency
+    topo = driven_topology(8)
+    slots = (20.0, 7.5, 0.0, 20.0, -3.0)  # four distinct frequencies over eight ports
+    topo = dataclasses.replace(topo, delays=tuple(
+        pn.DelayProfile(d.offset, (-1.0) ** i * d.amplitude, slots[i % 5])
+        for i, d in enumerate(topo.delays)))
+    scen = pn.Scenario(kind="dual-sine", duration=1.5, dt=0.001, amplitude=20.0)
+    trace, metrics = pn.build(topo, scen).run()
+    assert metrics.steps == 1500 and metrics.total_injected > 0.0
+    legs = [delay.halved() for delay in topo.delays]
+    ports = [(leg, pn.DelayLine(leg.max_delay, scen.dt),
+              pn.NodeState(z, scen.dt, topo.inertia_filter_cutoff, topo.command_filter_cutoff),
+              pn.DelayLine(leg.max_delay, scen.dt)) for z, leg in zip(topo.nodes, legs)]
+    for rec in trace.records:
+        u = []
+        for leg, forward, node, backward in ports:
+            d = leg.delay_at(rec.t)
+            u.append(backward.push_and_sample(node.step(forward.push_and_sample(rec.y, d)), d))
+        assert rec.u == tuple(u)
+    assert all(any(rec.u[i] != 0.0 for rec in trace.records) for i in range(8))
+
+
+def test_step_makes_the_benchmarks_exact_structural_calls(monkeypatch):
+    """Each step pushes 2M delay-line samples, steps M nodes and allocates once.
+
+    This follows the exact-count table of ``bench/selftest.py`` (2M pushes, M
+    node steps, one allocation per step), so a step change that would fail
+    the benchmark's self-test fails here first.  Relax it together with that
+    table (ROADMAP item 1).
+    """
+    calls = {"push": 0, "node": 0, "allocate": 0}
+
+    def counted(key, fn):
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(pn.DelayLine, "push_and_sample",
+                        counted("push", pn.DelayLine.push_and_sample))
+    monkeypatch.setattr(pn.NodeState, "step", counted("node", pn.NodeState.step))
+    monkeypatch.setattr(pn.sim, "allocate", counted("allocate", pn.sim.allocate))
+    scen = pn.Scenario(kind="dual-sine", duration=0.5, dt=0.001, amplitude=20.0)
+    metrics = pn.build(driven_topology(8), scen).run()[1]
+    steps = metrics.steps
+    assert steps == 500 and metrics.total_injected > 0.0
+    assert calls == {"push": 2 * 8 * steps, "node": 8 * steps, "allocate": steps}
