@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce
-from itertools import chain
+from itertools import chain, dropwhile
 from operator import mul
 
 from .errors import ConfigurationError, SimulationFault, check_positive_finite
@@ -59,23 +59,22 @@ class ImpedanceTriple:
 class HubState:
     """Hold-equivalent discrete realization of the hub admittance.
 
-    ``velocity()`` peeks at the output before any force is absorbed;
-    ``step(force)`` returns (velocity, position) and then advances the state,
-    so the returned velocity is independent of the force passed in.  One pass
-    per step forms c x and the ``hold_preview()`` terms, which the getters read.
-    Position is the trapezoidal running integral of the velocity samples.
-    The matrices and the state are lists of floats and every product is an
-    exactly rounded ``math.fsum``, so a step gives the same bits on any CPU.
+    ``velocity`` is the output c x of the current state, the sample shown
+    before any force is absorbed; ``step(force)`` returns (velocity,
+    position) and then advances the state, so the returned velocity is
+    independent of the force passed in.  Position is the trapezoidal running
+    integral of the velocity samples.  The matrices and the state are lists
+    of floats and every product is an exactly rounded ``math.fsum``, so a
+    step gives the same bits on any CPU.
 
-    ``hold_preview()`` gives the exact continuous-time motion under held
+    The realization gives the exact continuous-time motion under held
     forces.  With F held over the coming sample and F' over the one after,
-    and (travel, next_velocity, next_travel) the free terms it returns:
-
-    * the hub travels ``travel + hold_travel * F`` during the coming sample
-      (the integral of its velocity, not ``dt`` times the sample), which
-      ``travel(F)`` returns,
-    * its next velocity sample is ``next_velocity + hold_velocity * F``,
-    * it then travels ``next_travel + hold_carry * F + hold_travel * F'``.
+    the hub travels ``travel + hold_travel * F`` during the coming sample
+    (the integral of its velocity, not ``dt`` times the sample), its next
+    velocity sample is ``next_velocity + hold_velocity * F``, and it then
+    travels ``next_travel + hold_carry * F + hold_travel * F'``.  Each step
+    stores ``velocity`` and ``travel``; ``next_sample()`` forms the other two
+    terms when it is called.
     """
 
     def __init__(self, a: list, b: list, rows: list, dt: float, hold: tuple):
@@ -85,30 +84,28 @@ class HubState:
         self.dt = dt
         self._pos = 0.0
         self._prev_v = 0.0
-        self._rows = rows  # c, travel_row, c Ad, travel_row Ad
+        self._rows, self._next_rows = rows[:2], rows[2:]  # c, travel_row; c Ad, travel_row Ad
         self.hold_travel, self.hold_velocity, self.hold_carry = hold
-        self._v, self._preview = 0.0, (0.0, 0.0, 0.0)  # the outputs of the zero state
+        self.velocity = self.travel = 0.0  # the outputs of the zero state
 
-    def hold_preview(self) -> tuple[float, float, float]:
-        return self._preview
-
-    def travel(self, force: float) -> float:
-        return self._preview[0] + self.hold_travel * force
-
-    def velocity(self) -> float:
-        return self._v
+    def next_sample(self) -> tuple[float, float]:
+        """(next_velocity, next_travel), the free terms of the sample after the coming one."""
+        (velocity_row, travel_row), x = self._next_rows, self._x
+        try:  # fsum raises on an overflow or on inf - inf
+            return math.fsum(map(mul, velocity_row, x)), math.fsum(map(mul, travel_row, x))
+        except (OverflowError, ValueError):
+            raise SimulationFault("hub state overflows float range") from None
 
     def step(self, force: float) -> tuple[float, float]:
-        v = self._v
+        v = self.velocity
         self._pos += self.dt * (v + self._prev_v) / 2.0
         self._prev_v = v
         try:  # fsum raises on an overflow or on inf - inf
             self._x = x = [math.fsum([*map(mul, row, self._x), bi * force])
                            for row, bi in zip(self._a, self._b)]
-            self._v, *preview = [math.fsum(map(mul, row, x)) for row in self._rows]
+            self.velocity, self.travel = [math.fsum(map(mul, row, x)) for row in self._rows]
         except (OverflowError, ValueError):
             raise SimulationFault("hub state overflows float range") from None
-        self._preview = tuple(preview)
         return v, self._pos
 
 
@@ -232,27 +229,66 @@ def default_osp_grid() -> tuple[float, ...]:
 
 
 def _rhp_root_count(den) -> int:
-    """Roots of den (descending powers) with Re > 0, by Routh-Hurwitz.
+    """Roots of den (descending powers) with Re > 0, counted exactly.
 
-    Roots at 0 (trailing zeros) are stripped, so an integrator counts none.  A zero
-    row is replaced by the derivative of the auxiliary polynomial in the row above
-    it.  A zero lead in any other row becomes a small epsilon (the epsilon method),
-    which may count an imaginary-axis pair met after it as two unstable roots."""
-    coeffs = list(den)
-    while coeffs[-1] == 0.0:
-        coeffs.pop()
-    above, row = coeffs[0::2], coeffs[1::2]
-    leads = [above[0]]
-    for k in range(len(coeffs) - 1, 0, -1):  # above is the s^k row, row the s^(k-1) row
-        if not any(row):
-            row = [(k - 2 * i) * c for i, c in enumerate(above)]
-        if row[0] == 0.0:
-            row[0] = 1e-9 * max(map(abs, row))
-        leads.append(row[0])
-        above, row = row, [
-            (row[0] * a - above[0] * r) / row[0] for a, r in zip(above[1:], row[1:] + [0.0])
-        ]
-    return sum((a < 0.0) != (b < 0.0) for a, b in zip(leads, leads[1:]))
+    A float is a dyadic rational, so one power of two scales the coefficients
+    to integers, and the count is integer arithmetic.  Roots at 0 (trailing
+    zeros) are stripped, so an integrator counts none.  Write p(jw) =
+    R(w) + jI(w) and n = deg p.  Routh's test in its Sturm-chain form runs the
+    chain of f0 = R, f1 = I (f0 = I, f1 = R for odd n), whose signs at +-inf
+    give the Cauchy index of f1/f0 through any degree drop, a zero lead in a
+    nonzero Routh row among them.  Its last term d(w) = gcd(R, I) = g(jw),
+    where g = gcd(p(s), p(-s)) = h(s^2) holds the roots mirrored through 0.
+    For q = p/g, n_L - n_R = -index (even n) or +index (odd n).  Each root z
+    of h puts one of the pair +-sqrt(z) in each half-plane, unless z < 0 puts
+    both on the imaginary axis, where they count none, repeated or not; those
+    are the real roots of d, counted with multiplicity.
+    """
+    ratios = [float(c).as_integer_ratio() for c in den]
+    scale = max(d for _, d in ratios)  # every denominator is a power of two
+    p = [n * (scale // d) for n, d in ratios]
+    while p[-1] == 0:
+        p.pop()
+    n = len(p) - 1
+    c = p[::-1]  # ascending, so p(jw) is the sum of c[k] j^k w^k
+    real, imag = ([(-1) ** (k // 2) * v if k % 2 == odd else 0 for k, v in enumerate(c)][::-1]
+                  for odd in (0, 1))
+    sturm = _sturm(imag, real) if n % 2 else _sturm(real, imag)  # f0 of degree n first
+    index = _sign_changes(sturm, -1) - _sign_changes(sturm, 1)
+    d = f = sturm[-1]
+    axis = 0
+    while len(f) > 1:  # the real roots of d, each once per multiplicity
+        chain = _sturm(f, [c * (len(f) - 1 - i) for i, c in enumerate(f[:-1])])
+        axis += _sign_changes(chain, -1) - _sign_changes(chain, 1)
+        f = chain[-1]
+    mirrored = len(d) - 1
+    return (n - mirrored + (-index if n % 2 else index)) // 2 + (mirrored - axis) // 2
+
+
+def _sturm(f0: list, f1: list) -> list:
+    """The chain f0, f1, -rem(f0, f1), ... down to the last nonzero remainder.
+
+    Integer coefficients, descending, f0[0] != 0.  Each remainder is that of
+    k*f0 for an integer k > 0, divided by the gcd of its coefficients, so its
+    signs are those of the exact remainder."""
+    sturm = [f0]
+    while any(f1):
+        f1 = list(dropwhile(lambda c: c == 0, f1))
+        sturm.append(f1)
+        lead, sign = abs(f1[0]), 1 if f1[0] > 0 else -1
+        rest = f0
+        while len(rest) >= len(f1):
+            q = sign * rest[0]
+            rest = [lead * r - q * v for r, v in zip(rest[1:], f1[1:] + [0] * (len(rest) - len(f1)))]
+        content = math.gcd(*rest) or 1
+        f0, f1 = f1, [-c // content for c in rest]
+    return sturm
+
+
+def _sign_changes(sturm: list, at: int) -> int:
+    """Sign changes along a Sturm chain at -inf (``at`` = -1) or +inf (1)."""
+    signs = [f[0] * at ** (len(f) - 1) > 0 for f in sturm]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
 def estimate_osp_index(tf: ContinuousTF, omega_grid=None) -> float:

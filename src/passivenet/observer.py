@@ -86,31 +86,34 @@ class HoldLedger:
     """Exact held-force energy at the hub port, and the force it requires.
 
     ``credit`` is the hub's passivity index nu and ``hub`` the
-    :class:`passivenet.lti.HubState` whose port it prices: the sample period,
-    the hold constants (``hold_travel``, ``hold_velocity``, ``hold_carry``)
-    and the per-step ``velocity()`` and ``hold_preview()`` are read from it.
+    :class:`passivenet.lti.HubState` whose port it prices: its sample period
+    and hold constants give the run constants here, and each step reads its
+    ``velocity``, ``travel`` and ``next_sample()``.
     """
 
     def __init__(self, credit: float, hub):
-        self.credit = _check_credit(credit)
+        self.credit = nu = _check_credit(credit)
         self.hub = hub
+        self.dt = hub.dt
         self.energy = 0.0  # E_x
-
-    @property
-    def dt(self) -> float:
-        return self.hub.dt
+        dt, gam, car = hub.dt, hub.hold_travel, hub.hold_carry
+        # required_force's s^2 coefficients, p0 factor and landing margin per unit |raw|/dt
+        self._here_square = nu * gam * gam / dt - gam
+        self._here_scale = 1.0 - 2.0 * nu * gam / dt
+        self._both_square = self._here_square + nu * car * car / dt
+        self._margin = LANDING_MARGIN * gam
 
     def record(self, force: float, network_force: float) -> float:
         """Book the exact work of one sample held at hub force ``force``; return E_x."""
-        travel = self.hub.travel(force)
-        self.energy += self.credit * travel * travel / self.hub.dt + network_force * travel
+        travel = self.hub.travel + self.hub.hold_travel * force
+        self.energy += self.credit * travel * travel / self.dt + network_force * travel
         return self.energy
 
     def target(self, raw: float, e_obs: float, u_ext: float, u_ext_next: float) -> float:
         """Energy the allocator must cancel: ``e_obs``, or -(held - raw)*y*dt, y the hub's
         velocity, where :meth:`required_force` asks for a force beyond the rectangular floor.
         Where dt*y is 0 (y is, or the product underflows) no floor exists and it is ``e_obs``."""
-        y, dt = self.hub.velocity(), self.hub.dt
+        y, dt = self.hub.velocity, self.dt
         if dt * y == 0.0:
             return e_obs
         floor = raw - e_obs / (dt * y) if e_obs < 0.0 else raw
@@ -132,26 +135,25 @@ class HoldLedger:
         must stay >= 0.  The answer is the force nearest ``floor`` that
         achieves this or, when none does, the one that comes closest.
         """
-        hub, nu = self.hub, self.credit
-        dt, gam, kap, car = hub.dt, hub.hold_travel, hub.hold_velocity, hub.hold_carry
-        travel, next_velocity, next_travel = hub.hold_preview()
+        hub, nu, dt = self.hub, self.credit, self.dt
+        gam, kap, car = hub.hold_travel, hub.hold_velocity, hub.hold_carry
         # exact work of this sample as a quadratic in the net force s
-        p0 = travel + gam * u_ext
-        here = (nu * gam * gam / dt - gam, p0 * (1.0 - 2.0 * nu * gam / dt),
-                self.energy + nu * p0 * p0 / dt)
-        direction = 1.0 if hub.velocity() > 0.0 else -1.0
+        p0 = hub.travel + gam * u_ext
+        here = (self._here_square, p0 * self._here_scale, self.energy + nu * p0 * p0 / dt)
+        direction = 1.0 if hub.velocity > 0.0 else -1.0
         if raw == 0.0:
             pieces = [(0.0, math.inf, here)]
         else:
+            next_velocity, next_travel = hub.next_sample()
             # exact work of ``raw`` held over the next sample, same variable
             q0 = next_travel + car * u_ext + gam * (u_ext_next - raw)
-            both = (here[0] + nu * car * car / dt,
+            both = (self._both_square,
                     here[1] - car * (2.0 * nu * q0 / dt + raw),
                     here[2] + nu * q0 * q0 / dt + raw * q0)
             # the hub lands on raw's side where side*y' > -margin, with
             # side*y'(floor + direction*t) = lead - slope*t
             side = 1.0 if raw > 0.0 else -1.0
-            margin = LANDING_MARGIN * gam * abs(raw) / dt
+            margin = self._margin * abs(raw) / dt
             lead = side * (next_velocity + kap * (u_ext - floor)) + margin
             slope = side * direction * kap
             cut = lead / slope if slope != 0.0 else math.inf

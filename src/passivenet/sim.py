@@ -3,7 +3,7 @@
 Per-step pipeline (one sample period, no feedthrough anywhere):
 
 1. read the external input u_ext[n]
-2. peek the hub velocity y[n]
+2. read the hub velocity y[n], which the hub stored when it last advanced
 3. form every port's one-leg delay d_i(t) in one pass (one sine per distinct
    frequency, see :func:`passivenet.delay.delay_evaluator`), forward-delay y
    by d_i, step the node (its command filter, when set, then its impedance)
@@ -269,7 +269,7 @@ class Simulation:
 
         u_ext = self._next_input
         self._next_input = scen.input_at(n + 1)
-        y = self.hub.velocity()
+        y = self.hub.velocity
 
         u = [backward(node(forward(y, d)), d)
              for d, (forward, node, backward) in zip(self.delays_at(t), self.ports)]

@@ -185,3 +185,16 @@ def test_random_adversarial_runs_raise_nothing_but_configuration_errors():
     rng = random.Random(13)
     outcomes = [_outcome(*_random_adversarial(rng)).split()[0] for _ in range(400)]
     assert all(outcomes.count(o) > 80 for o in ("refused:", "diverged", "completed"))
+
+
+def test_next_sample_that_overflows_ends_the_run_at_the_step_that_reads_it():
+    # a state whose c Ad x sum passes float range, while the stored velocity and travel are
+    # finite; by step 300 the node forces have arrived, so the hold target reads next_sample()
+    topo, scen = _bundled("table1.cfg")
+    sim = pn.build(topo, replace(scen, duration=1.0))
+    for _ in range(300):
+        sim.step()
+    sim.hub._x = [9.25e307, -1e308]
+    trace, metrics = sim.run()
+    assert metrics.diverged and metrics.steps == len(trace) == 300
+    assert sim.fault == "hub state overflows float range"

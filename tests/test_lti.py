@@ -13,6 +13,7 @@ from scipy.linalg import expm
 
 import passivenet as pn
 from passivenet.lti import _expm, _matmul, _rhp_root_count
+from passivenet.observer import HoldLedger
 from passivenet.selfcheck import LINEAR_STATES, check_state_linearity
 
 from conftest import TABLE1_HUB
@@ -122,7 +123,7 @@ def test_hold_preview_matches_dense_travel(tf):
         hub.step(float(f))
         x, _ = advance(x, float(f))
     force, force_next = 1234.5, -321.0
-    travel, next_velocity, next_travel = hub.hold_preview()
+    travel, (next_velocity, next_travel) = hub.travel, hub.next_sample()
     x1, want_travel = advance(x, force)
     _, want_next_travel = advance(x1, force_next)
     assert travel + hub.hold_travel * force == pytest.approx(want_travel, rel=1e-9)
@@ -131,46 +132,54 @@ def test_hold_preview_matches_dense_travel(tf):
         pytest.approx(want_next_travel, rel=1e-9)
     )
     hub.step(force)
-    assert hub.velocity() == pytest.approx(float(c @ x1), rel=1e-9)
+    assert hub.velocity == pytest.approx(float(c @ x1), rel=1e-9)
 
 
 def test_velocity_is_the_output_of_the_current_state():
-    # step() computes c x once, after it advances the state; velocity() reads it back
+    # step() computes c x once, after it advances the state, and stores it as velocity
     # (c is the first of the hub's output rows)
     rng = np.random.default_rng(13)
     hub = pn.make_hub_admittance(TABLE1_HUB, 0.001)
     for f in rng.normal(scale=50.0, size=200):
-        y = hub.velocity()
+        y = hub.velocity
         assert y == math.fsum(map(mul, hub._rows[0], hub._x))
         v, _ = hub.step(float(f))
         assert v == y
-    assert hub.velocity() == math.fsum(map(mul, hub._rows[0], hub._x)) != 0.0
+    assert hub.velocity == math.fsum(map(mul, hub._rows[0], hub._x)) != 0.0
 
 
 @pytest.mark.parametrize("tf", [TABLE1_HUB, INTEGRATOR], ids=["table1", "integrator"])
 def test_travel_is_the_previewed_travel_bit_for_bit(tf):
+    # the hold ledger books the travel term that step() stored, plus hold_travel * force
     rng = np.random.default_rng(17)
     hub = pn.make_hub_admittance(tf, 0.001)
+    ledger = HoldLedger(15.0, hub)
     for f in rng.normal(scale=50.0, size=100):
         force = float(rng.normal(scale=1e3))
-        assert hub.travel(force) == hub.hold_preview()[0] + hub.hold_travel * force
+        assert hub.travel == math.fsum(map(mul, hub._rows[1], hub._x))
+        travel = hub.travel + hub.hold_travel * force
+        want = ledger.energy + (15.0 * travel * travel / hub.dt + -2.0 * travel)
+        assert ledger.record(force, -2.0) == want
         hub.step(float(f))
 
 
 @pytest.mark.parametrize("tf", [TABLE1_HUB, INTEGRATOR], ids=["table1", "integrator"])
-def test_hold_preview_is_formed_once_per_step(tf):
-    # step() forms the preview terms; every read until the next step returns that tuple
+def test_next_sample_is_the_fsum_of_the_next_rows_bit_for_bit(tf):
+    # next_sample() forms (c Ad x, travel_row Ad x) from the current state when it is read
     rng = np.random.default_rng(19)
     hub = pn.make_hub_admittance(tf, 0.001)
-    assert hub.hold_preview() == (0.0, 0.0, 0.0)
+    assert hub.next_sample() == (0.0, 0.0)
     for f in rng.normal(scale=50.0, size=100):
         hub.step(float(f))
-        preview = hub.hold_preview()
-        rows = [hub._rows[1], *_matmul(hub._rows[:2], hub._a)]  # travel_row, [c, travel_row] Ad
-        assert preview == tuple(math.fsum(map(mul, row, hub._x)) for row in rows)
-        hub.velocity()
-        hub.travel(1.0)
-        assert hub.hold_preview() is preview
+        rows = _matmul(hub._rows, hub._a)  # [c, travel_row] Ad, rows [2:4] of the realization
+        assert hub.next_sample() == tuple(math.fsum(map(mul, row, hub._x)) for row in rows)
+
+
+def test_next_sample_past_float_range_is_a_simulation_fault():
+    hub = pn.make_hub_admittance(TABLE1_HUB, 0.001)
+    hub._x = [9.25e307, -1e308]  # finite products whose c Ad x sum overflows
+    with pytest.raises(pn.SimulationFault, match="hub state overflows float range"):
+        hub.next_sample()
 
 
 def test_hub_sample_period_is_a_builtin_float():
@@ -462,6 +471,7 @@ def test_default_osp_grid_is_numpys_logspace():
     ((1.0, 0.0, 2.0, 0.0, 1.0, 0.0, 0.0), 0),  # s^2 (s^2 + 1)^2: 2 unless s^2 is stripped
     ((1.0, 0.0, -1.0), 1),  # zero row with a real pair
     ((1.0, 1.0, 2.0, 2.0, 3.0), 2),  # zero lead in a nonzero row
+    ((1.0, 3.0, 7.0, 13.0, 12.0, 4.0), 0),  # (s + 1)^3 (s^2 + 4): 2 in floating-point Routh
     ((3.0,), 0),
 ])
 def test_rhp_root_count_exact_cases(den, count):
@@ -486,6 +496,33 @@ def test_rhp_root_count_matches_numpy_roots():
         want = sum(r.real > 0.0 for r in roots)
         assert int(np.sum(np.roots(den).real > 0.0)) == want
         assert _rhp_root_count(den.tolist()) == want, den
+
+
+def _polymul(p, q):
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+def test_rhp_root_count_of_integer_factor_products_is_exact():
+    # products of integer factors whose right-half-plane roots are known: real and
+    # complex roots on either side, roots at 0, imaginary-axis pairs and roots
+    # mirrored through 0 (+-a), each factor at times repeated
+    rng = random.Random(23)
+    for _ in range(2000):
+        den, want = [rng.choice([-2, -1, 1, 3])], 0
+        for _ in range(rng.randint(1, 4)):
+            a, b = rng.randint(1, 4), rng.randint(1, 4)
+            factor, count = rng.choice([
+                ((1, a), 0), ((1, -a), 1), ((1, 0), 0), ((1, 0, b * b), 0),
+                ((1, 2 * a, a * a + b * b), 0), ((1, -2 * a, a * a + b * b), 2), ((1, 0, -a * a), 1),
+            ])
+            for _ in range(rng.choice([1, 1, 1, 2])):
+                den, want = _polymul(den, factor), want + count
+        assert max(map(abs, den)) < 2**53  # every coefficient is exact as a float
+        assert _rhp_root_count([float(c) for c in den]) == want, den
 
 
 def test_tf_validation():

@@ -103,11 +103,11 @@ def _two_sample_energy(push, s, raw, u_ext, u_ext_next, nu, dt, start):
     """E_x after holding net force s, then raw if the hub lands on raw's side."""
     hub = pn.make_hub_admittance(TABLE1_HUB, dt)
     hub.step(push)
-    travel = hub.hold_preview()[0] + hub.hold_travel * (u_ext - s)
+    travel = hub.travel + hub.hold_travel * (u_ext - s)
     energy = start + nu * travel**2 / dt + s * travel
     hub.step(u_ext - s)
-    if raw * hub.velocity() > 0.0:
-        travel = hub.hold_preview()[0] + hub.hold_travel * (u_ext_next - raw)
+    if raw * hub.velocity > 0.0:
+        travel = hub.travel + hub.hold_travel * (u_ext_next - raw)
         energy += nu * travel**2 / dt + raw * travel
     return energy
 
@@ -118,7 +118,7 @@ def test_required_force_is_the_floor_with_energy_to_spare():
     hub.step(1.0 / hub.hold_velocity)  # moving at 1 m/s
     ledger = HoldLedger(15.0, hub)
     ledger.energy = 100.0
-    floor = -12.0 * hub.velocity()
+    floor = -12.0 * hub.velocity
     assert ledger.required_force(50.0, floor, 3.0, 3.0) == floor
 
 
@@ -132,7 +132,7 @@ def test_required_force_prices_a_held_force_meeting_a_resting_hub():
     hub.step(push)
     ledger = HoldLedger(nu, hub)
     ledger.energy = start
-    y, raw, u_ext, u_ext_next = hub.velocity(), -1926.0, -4.7, -4.73
+    y, raw, u_ext, u_ext_next = hub.velocity, -1926.0, -4.7, -4.73
     floor = -12.0 * y  # the rectangular ledger cancels raw down to -xi*y
     s = ledger.required_force(raw, floor, u_ext, u_ext_next)
     assert (s - floor) * y > 0.0
@@ -151,7 +151,7 @@ def test_target_is_e_obs_where_the_hold_does_not_bind():
     dt = 0.001
     hub = pn.make_hub_admittance(TABLE1_HUB, dt)
     ledger = HoldLedger(15.0, hub)
-    assert hub.velocity() == 0.0
+    assert hub.velocity == 0.0
     assert ledger.target(50.0, -0.5, 3.0, 3.0) == -0.5
     hub.step(1.0 / hub.hold_velocity)  # moving at 1 m/s
     ledger.energy = 100.0
@@ -159,7 +159,7 @@ def test_target_is_e_obs_where_the_hold_does_not_bind():
         assert ledger.target(50.0, e_obs, 3.0, 3.0) == e_obs
     hub = pn.make_hub_admittance(TABLE1_HUB, dt)
     hub.step(1e-321 / hub.hold_velocity)  # y != 0, but dt*y underflows to 0
-    assert hub.velocity() != 0.0 == dt * hub.velocity()
+    assert hub.velocity != 0.0 == dt * hub.velocity
     assert HoldLedger(15.0, hub).target(50.0, -0.5, 3.0, 3.0) == -0.5
 
 
@@ -171,7 +171,7 @@ def test_target_prices_the_held_force_where_the_hold_binds():
     hub.step(0.006 / hub.hold_velocity)
     ledger = HoldLedger(nu, hub)
     ledger.energy = 1.0
-    y, raw, u_ext, u_ext_next = hub.velocity(), -1926.0, -4.7, -4.73
+    y, raw, u_ext, u_ext_next = hub.velocity, -1926.0, -4.7, -4.73
     e_obs = (raw + 12.0 * y) * dt * y
     floor = raw - e_obs / (dt * y)
     held = ledger.required_force(raw, floor, u_ext, u_ext_next)

@@ -2,12 +2,14 @@ import dataclasses
 import math
 import sys
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import passivenet as pn
 from passivenet.errors import fold
+from passivenet.lti import HubState
 from passivenet.observer import HoldLedger
 from passivenet.selfcheck import passive_topology
 
@@ -390,3 +392,31 @@ def test_step_makes_the_benchmarks_exact_structural_calls(monkeypatch):
     steps = metrics.steps
     assert steps == 500 and metrics.total_injected > 0.0
     assert calls == {"push": 2 * 8 * steps, "node": 8 * steps, "allocate": steps}
+
+
+@pytest.mark.parametrize("name", ["table1_nostab.cfg", "table1.cfg"])
+def test_the_hub_forms_its_next_sample_terms_only_where_they_are_read(monkeypatch, name):
+    """A step of the order-2 bundled hub makes 4 ``math.fsum`` sums: 2 state rows, then
+    velocity and travel.  Only the hold target reads next_sample(), 2 sums more, and it
+    runs only with the stabilizer on, at most once a step."""
+    cfg = pn.parse_config_file(pn.bundled_config_path(name))
+    sim = pn.build(cfg.topology, dataclasses.replace(cfg.scenario, duration=1.0))
+    calls = {"fsum": 0, "next_sample": 0}
+
+    def fsum(values):
+        calls["fsum"] += 1
+        return math.fsum(values)
+
+    def next_sample(hub):
+        calls["next_sample"] += 1
+        return read(hub)
+
+    read = HubState.next_sample
+    monkeypatch.setattr(pn.lti, "math", SimpleNamespace(**{**vars(math), "fsum": fsum}))
+    monkeypatch.setattr(HubState, "next_sample", next_sample)
+    steps = sim.run()[1].steps
+    assert calls["fsum"] == 4 * steps + 2 * calls["next_sample"]
+    if cfg.topology.stabilizer_enabled:
+        assert steps == 1000 and 0 < calls["next_sample"] < steps
+    else:
+        assert steps == 496 and calls["next_sample"] == 0
