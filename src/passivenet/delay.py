@@ -58,7 +58,8 @@ class DelayLine:
     Samples are pushed once per period, push n (counted by the line from 0) at
     t = n*dt; the read index for a requested delay d is the stored sample whose
     timestamp is nearest to t - d (ties round toward the more recent sample).
-    Before t - d reaches zero the line returns the cold-start value 0.
+    Before t - d reaches zero the line returns the cold-start value 0.  A NaN or
+    negative d raises ConfigurationError, as does one past the capacity, +inf too.
     """
 
     __slots__ = ("dt", "capacity", "_buf", "_n")
@@ -74,16 +75,19 @@ class DelayLine:
         self._n = 0  # index of the next push
 
     def push_and_sample(self, sample: float, d: float) -> float:
-        if d < 0.0:
-            raise ConfigurationError("requested delay must be nonnegative")
+        if not d >= 0.0:  # NaN fails it too
+            raise ConfigurationError(f"requested delay must be nonnegative, got {d!r}")
         n, capacity, buf = self._n, self.capacity, self._buf
         buf[n % capacity] = sample
         self._n = n + 1
-        k = floor((n - d / self.dt) + 0.5)
-        # cold start: k < 0, or t = n*dt short of d; k >= 1 puts t - d near dt/2 or above
-        if k < 1 and (k < 0 or n * self.dt < d):
-            return 0.0
-        if n - k >= capacity:
-            raise ConfigurationError(f"requested delay {d} exceeds the line capacity "
-                                     f"({capacity} samples at dt={self.dt})")
-        return buf[k % capacity]
+        try:  # floor raises OverflowError where d/dt is inf
+            k = floor((n - d / self.dt) + 0.5)
+            # cold start: k < 0, or t = n*dt short of d; k >= 1 puts t - d near dt/2 or above
+            if k < 1 and (k < 0 or n * self.dt < d):
+                return 0.0
+            if n - k < capacity:
+                return buf[k % capacity]
+        except OverflowError:
+            pass
+        raise ConfigurationError(f"requested delay {d} exceeds the line capacity "
+                                 f"({capacity} samples at dt={self.dt})")

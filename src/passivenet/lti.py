@@ -83,7 +83,6 @@ class HubState:
         self._x = [0.0] * len(b)
         self.dt = dt
         self._pos = 0.0
-        self._prev_v = 0.0
         self._rows, self._next_rows = rows[:2], rows[2:]  # c, travel_row; c Ad, travel_row Ad
         self.hold_travel, self.hold_velocity, self.hold_carry = hold
         self.velocity = self.travel = 0.0  # the outputs of the zero state
@@ -97,16 +96,15 @@ class HubState:
             raise SimulationFault("hub state overflows float range") from None
 
     def step(self, force: float) -> tuple[float, float]:
-        v = self.velocity
-        self._pos += self.dt * (v + self._prev_v) / 2.0
-        self._prev_v = v
+        v, pos = self.velocity, self._pos
         try:  # fsum raises on an overflow or on inf - inf
             self._x = x = [math.fsum([*map(mul, row, self._x), bi * force])
                            for row, bi in zip(self._a, self._b)]
             self.velocity, self.travel = [math.fsum(map(mul, row, x)) for row in self._rows]
         except (OverflowError, ValueError):
             raise SimulationFault("hub state overflows float range") from None
-        return v, self._pos
+        self._pos = pos + self.dt * (v + self.velocity) / 2.0
+        return v, pos
 
 
 def make_hub_admittance(tf: ContinuousTF, dt: float) -> HubState:

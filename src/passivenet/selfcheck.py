@@ -4,23 +4,23 @@ Each check is written once, here. It builds its own ``random.Random`` from
 a fixed seed, so its instances do not depend on which checks ran before it,
 and raises :class:`CheckFailed` at the first violation. Together the checks
 cover the allocator's constraint, nonnegativity, weight-scaling invariance
-and 1/q share law, the ledger's bookkeeping identity, the delay line, the
-hub's zero feedthrough, the linearity of the hub and the nodes, and the
-passive zero-delay baseline.
+and 1/q share law, the ledger's bookkeeping identity, the delay line, and,
+on the shipped table1.cfg and passive_baseline.cfg (read when the check
+runs), the hub's zero feedthrough, hub and node linearity and the baseline.
 """
 
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 from .allocator import WeightMatrix, allocate
-from .delay import DelayLine, DelayProfile
+from .config import RunConfig, bundled_config_path, parse_config_file
+from .delay import DelayLine
 from .errors import fold
-from .lti import ContinuousTF, ImpedanceTriple, NodeState, make_hub_admittance
+from .lti import NodeState, make_hub_admittance
 from .observer import EnergyLedger
-from .sim import Scenario, Topology, build
-
-HUB = ContinuousTF((1.0, 0.0), (0.5, 15.0, 1.0))  # the bundled configs' hub
+from .sim import build
 
 
 class CheckFailed(AssertionError):
@@ -42,18 +42,20 @@ def random_allocation(rng):
     return e_obs, s, q, dt
 
 
-def passive_topology() -> Topology:
-    """The bundled hub with three passive nodes and no delay."""
-    return Topology(
-        hub=HUB,
-        nodes=(
-            ImpedanceTriple(10.0, 5.0, 400.0),
-            ImpedanceTriple(10.0, 5.0, 400.0),
-            ImpedanceTriple(20.0, 10.0, 800.0),
-        ),
-        delays=(DelayProfile(0.0, 0.0, 0.0),) * 3,
-        weights=WeightMatrix((1.0, 1.0, 1.0)),
-    )
+def shipped(name: str) -> RunConfig:
+    """The bundled config ``name``, read from its file as the CLI reads it."""
+    return parse_config_file(bundled_config_path(name))
+
+
+def _table1_state(part: str):
+    """A zero state of table1.cfg's hub, of its first node, or of that node
+    behind table1's inertia filter ("hub", "node", "filtered node")."""
+    cfg = shipped("table1.cfg")
+    topo, dt = cfg.topology, cfg.scenario.dt
+    if part == "hub":
+        return make_hub_admittance(topo.hub, dt)
+    cutoff = topo.inertia_filter_cutoff if part == "filtered node" else None
+    return NodeState(topo.nodes[0], dt, derivative_cutoff=cutoff)
 
 
 def check_allocator_constraint() -> None:
@@ -140,8 +142,7 @@ def check_hub_feedthrough() -> None:
     # the velocities returned at n must be identical (no feedthrough).
     rng = random.Random(7)
     for _ in range(20):
-        hub_a = make_hub_admittance(HUB, 1e-3)
-        hub_b = make_hub_admittance(HUB, 1e-3)
+        hub_a, hub_b = _table1_state("hub"), _table1_state("hub")
         for _ in range(rng.randint(1, 99)):
             f = rng.gauss(0.0, 1.0)
             hub_a.step(f)
@@ -155,13 +156,8 @@ def _output(result) -> float:
     return result[0] if isinstance(result, tuple) else result
 
 
-_Z = ImpedanceTriple(10.0, 5.0, 400.0)
-
-LINEAR_STATES = (
-    ("hub", lambda: make_hub_admittance(HUB, 1e-3)),
-    ("node", lambda: NodeState(_Z, 1e-3)),
-    ("filtered node", lambda: NodeState(_Z, 1e-3, derivative_cutoff=20.0)),
-)
+LINEAR_STATES = tuple((part, lambda part=part: _table1_state(part))
+                      for part in ("hub", "node", "filtered node"))
 
 
 def check_state_linearity(make, name: str = "state") -> None:
@@ -188,8 +184,9 @@ def check_linearity() -> None:
 
 
 def check_passive_baseline() -> None:
-    scen = Scenario(kind="dual-sine", duration=2.0, dt=1e-3, amplitude=20.0)
-    trace, metrics = build(passive_topology(), scen).run()
+    # the shipped passive_baseline.cfg, cut to its first 2 s
+    cfg = shipped("passive_baseline.cfg")
+    trace, metrics = build(cfg.topology, replace(cfg.scenario, duration=2.0)).run()
     _expect(not metrics.diverged, "diverged")
     _expect(metrics.total_injected == 0.0, f"injected {metrics.total_injected!r} J")
     _expect(all(r.e_obs >= 0.0 for r in trace.records), "E_obs went negative")

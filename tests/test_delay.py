@@ -116,12 +116,16 @@ def test_delay_beyond_capacity_faults():
         line.push_and_sample(1.0, 0.05)
     with pytest.raises(pn.ConfigurationError):
         line.push_and_sample(1.0, 0.09)  # at t = 0.1
+    for d in (math.inf, 1e308):  # d/dt is inf, which floor cannot take
+        with pytest.raises(pn.ConfigurationError, match="capacity"):
+            pn.DelayLine(0.05, 0.001).push_and_sample(1.0, d)
 
 
 def test_negative_requested_delay_faults():
     line = pn.DelayLine(0.05, 0.001)
-    with pytest.raises(pn.ConfigurationError):
-        line.push_and_sample(1.0, -0.001)
+    for d in (-0.001, -math.inf, math.nan):
+        with pytest.raises(pn.ConfigurationError, match="requested delay must be nonnegative"):
+            line.push_and_sample(1.0, d)
 
 
 def test_delay_at_line_capacity():

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ import pytest
 import passivenet as pn
 from passivenet.errors import fold
 from passivenet.observer import HoldLedger, _first_nonnegative
+from passivenet.selfcheck import shipped
 
 from conftest import TABLE1_HUB
 
@@ -183,3 +186,59 @@ def test_target_prices_the_held_force_where_the_hold_binds():
 def test_first_nonnegative_root_where_the_discriminant_underflows():
     # b = 0 and 4*a*c underflows, so b*b - 4*a*c is 0: the root of 1e-200*(t^2 - 1) is 1
     assert _first_nonnegative(1e-200, 0.0, -1e-200, math.inf) == 1.0
+
+
+# Replayed E_hat may differ from the trace's by at most this, in J.  500 steps
+# of case1 (|E_hat| up to 8.67 J, 175 firing steps) measure 3.7e-15 J and
+# table1 3.0e-16 J, so the bound leaves a margin of 27x; one dropped injection
+# of 1e-6 J or more is ten million times the bound.
+REPLAY_BOUND = 1e-13
+
+
+def _replay_drift(trace) -> tuple[float, float]:
+    """Largest |E_hat - replay| over the steps, for the exact sum of the rounded
+    increments the ledger forms and for the exact sum of the exact increments,
+    both replayed in Fraction from the trace's y, u and alpha."""
+    dt, xi = trace.dt, trace.xi
+    exact_dt, exact_xi = Fraction(dt), Fraction(xi)
+    rounded = exact = Fraction(0)
+    worst_rounded = worst_exact = 0.0
+    for rec in trace.records:
+        y = rec.y
+        rounded += Fraction(dt * y * (xi * y + fold(rec.u)))
+        rounded += Fraction(fold([dt * y * y * a for a in rec.alpha]))
+        fy = Fraction(y)
+        exact += exact_dt * fy * (exact_xi * fy + sum(map(Fraction, rec.u)))
+        exact += exact_dt * fy * fy * sum(map(Fraction, rec.alpha))
+        e_hat = Fraction(rec.e_hat)
+        worst_rounded = max(worst_rounded, abs(float(e_hat - rounded)))
+        worst_exact = max(worst_exact, abs(float(e_hat - exact)))
+    return worst_rounded, worst_exact
+
+
+class _DropOneInjection(pn.EnergyLedger):
+    """A planted fault: the ledger skips the first injection of 1e-6 J or more."""
+
+    dropped = False
+
+    def record_injection(self, gains) -> None:
+        if not self.dropped and self.dt * self._y * self._y * fold(gains) >= 1e-6:
+            self.dropped = True
+            self.controlled_energy = self.observable_energy
+            return
+        super().record_injection(gains)
+
+
+@pytest.mark.parametrize("name", ["case1.cfg", "table1.cfg"])
+def test_ledger_matches_an_exact_replay(name):
+    cfg = shipped(name)
+    scen = dataclasses.replace(cfg.scenario, duration=500 * cfg.scenario.dt)
+    trace, metrics = pn.build(cfg.topology, scen).run()
+    assert metrics.steps == 500 and metrics.total_injected > 0.0
+    assert max(_replay_drift(trace)) <= REPLAY_BOUND
+
+    planted = pn.build(cfg.topology, scen)
+    planted.ledger = _DropOneInjection(scen.dt, planted.xi, cfg.topology.num_nodes)
+    trace, _ = planted.run()
+    assert planted.ledger.dropped
+    assert min(_replay_drift(trace)) > REPLAY_BOUND

@@ -4,8 +4,9 @@ import tracemalloc
 import pytest
 
 import passivenet as pn
-from passivenet.selfcheck import passive_topology
 from passivenet.sim import SummaryMetrics, Trace
+
+from conftest import PASSIVE_BASELINE
 
 
 def _tiny_trace():
@@ -132,6 +133,6 @@ def test_summary_round_trip(tmp_path):
 
 def test_quiet_run_summary_has_zero_injection():
     scen = pn.Scenario(kind="external", duration=0.05, dt=0.001, samples=())
-    _trace, metrics = pn.build(passive_topology(), scen).run()
+    _trace, metrics = pn.build(PASSIVE_BASELINE, scen).run()
     assert metrics.total_injected == 0.0
     assert metrics.shares == (0.0, 0.0, 0.0)

@@ -11,9 +11,10 @@ import passivenet as pn
 from passivenet.errors import fold
 from passivenet.lti import HubState
 from passivenet.observer import HoldLedger
-from passivenet.selfcheck import passive_topology
+from passivenet.selfcheck import shipped
 
 from conftest import (
+    PASSIVE_BASELINE,
     TABLE1_DELAYS,
     TABLE1_HUB,
     TABLE1_NODES,
@@ -44,7 +45,7 @@ def test_mismatched_delay_count_rejected():
 
 
 def test_all_quiet_run_is_identically_zero():
-    topo = passive_topology()
+    topo = PASSIVE_BASELINE
     scen = pn.Scenario(kind="external", duration=0.5, dt=0.001, samples=())
     trace, metrics = pn.build(topo, scen).run()
     assert metrics.steps == 500
@@ -249,7 +250,7 @@ def test_huge_external_samples_stop_with_finite_records(stabilizer, amplitude):
         assert all(math.isfinite(c) for c in cells)
 
 
-_Z = pn.ImpedanceTriple(10.0, 5.0, 400.0)
+_Z = TABLE1_NODES[0]
 
 SAMPLE_PERIOD_USERS = {
     "allocate": lambda dt: pn.allocate(-1.0, np.ones(3), pn.WeightMatrix((1.0,) * 3), dt),
@@ -420,3 +421,20 @@ def test_the_hub_forms_its_next_sample_terms_only_where_they_are_read(monkeypatc
         assert steps == 1000 and 0 < calls["next_sample"] < steps
     else:
         assert steps == 496 and calls["next_sample"] == 0
+
+
+def test_passive_baseline_converges_first_order_in_dt():
+    # y sampled every 0.5 s over 5 s, against the dt = 0.25 ms run, as a fraction
+    # of its scale: 1.859e-3 at 1 ms and 6.214e-4 at 0.5 ms, a ratio of 2.99
+    cfg = shipped("passive_baseline.cfg")
+    samples = []
+    for dt in (1e-3, 5e-4, 2.5e-4):
+        scen = dataclasses.replace(cfg.scenario, duration=5.0, dt=dt)
+        trace, metrics = pn.build(cfg.topology, scen).run()
+        assert not metrics.diverged
+        samples.append(trace.data[2::trace.width * round(0.5 / dt)])
+    *coarse, fine = samples
+    scale = max(map(abs, fine))
+    errors = [max(abs(a - b) for a, b in zip(ys, fine)) / scale for ys in coarse]
+    assert errors[1] < 1e-3
+    assert 2.5 <= errors[0] / errors[1] <= 3.5
