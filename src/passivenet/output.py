@@ -6,8 +6,6 @@ repeated runs of a deterministic scenario produce byte-identical files.
 
 from __future__ import annotations
 
-from operator import itemgetter
-
 from .errors import ConfigurationError
 from .sim import SummaryMetrics, Trace
 
@@ -27,28 +25,40 @@ def trace_header(num_nodes: int) -> str:
 def write_trace(trace: Trace, path, decimation: int = 1) -> None:
     """Write every ``decimation``-th row of ``trace`` as CSV, a chunk of rows at a time.
 
-    Both checks come before the file is opened, so a refused write leaves no file.
+    Each chunk is formatted a column at a time.  A column whose bytes equal an
+    earlier column's in the chunk reuses that column's strings (û is u wherever
+    no gain fired), and a column of one repeated value is formatted once.
+    Bytes, not floats, are compared, so 0.0 and -0.0 stay apart.
+
+    All checks come before the file is opened, so a refused write leaves no file.
     """
     if not len(trace):
         raise ConfigurationError("refusing to write an empty trace")
+    if not isinstance(decimation, int) or isinstance(decimation, bool):
+        raise ConfigurationError("decimation must be an integer")
     if decimation < 1:
         raise ConfigurationError("decimation must be >= 1")
     m, w, data = trace.num_nodes, trace.width, trace.data
     order = [0, 1, 2, 3]  # a stored row's values in column order
     for i in range(4, 4 + m):
         order += [i, i + m, i + 2 * m, i + 3 * m]
-    cells = itemgetter(*order, 4 + 4 * m, 5 + 4 * m)
+    order += [4 + 4 * m, 5 + 4 * m]
     rows = range(0, len(trace), decimation)
     per_chunk = max(1, CHUNK_VALUES // w)
     with open(path, "w", newline="\n") as fh:
         fh.write(trace_header(m) + "\n")
         for first in range(0, len(rows), per_chunk):
-            lines = [
-                f"{n}," + ",".join(map(repr, cells(data[n * w:(n + 1) * w].tolist())))
-                for n in rows[first:first + per_chunk]
-            ]
-            lines.append("")
-            fh.write("\n".join(lines))
+            chunk = rows[first:first + per_chunk]
+            a, b = chunk[0] * w, chunk[-1] * w + w
+            formatted, columns = {}, []
+            for j in order:
+                col = data[a + j:b:w * decimation]
+                key = col.tobytes()
+                if key not in formatted:
+                    same = key == key[:8] * len(col)
+                    formatted[key] = [repr(col[0])] * len(col) if same else list(map(repr, col))
+                columns.append(formatted[key])
+            fh.write("\n".join(map(",".join, zip(map(str, chunk), *columns))) + "\n")
 
 
 def write_summary(metrics: SummaryMetrics, path) -> None:

@@ -1,12 +1,14 @@
 import random
 import tracemalloc
+from operator import itemgetter
 
 import pytest
 
 import passivenet as pn
+from passivenet.output import CHUNK_VALUES
 from passivenet.sim import SummaryMetrics, Trace
 
-from conftest import PASSIVE_BASELINE
+from conftest import PASSIVE_BASELINE, driven_topology
 
 
 def _tiny_trace():
@@ -65,6 +67,71 @@ def test_refused_write_creates_no_file(tmp_path):
     with pytest.raises(pn.ConfigurationError, match="empty"):
         pn.write_trace(Trace(dt=0.001, xi=1.0, num_nodes=2), path)
     assert not path.exists()
+    for decimation in (2.5, 1.0, True):
+        with pytest.raises(pn.ConfigurationError, match="decimation must be an integer"):
+            pn.write_trace(_tiny_trace(), path, decimation=decimation)
+    assert not path.exists()
+
+
+def _row_wise_reference(trace, decimation):
+    """The CSV bytes as the writer formed them one row at a time, before it went column-wise."""
+    m, w, data = trace.num_nodes, trace.width, trace.data
+    order = [0, 1, 2, 3]
+    for i in range(4, 4 + m):
+        order += [i, i + m, i + 2 * m, i + 3 * m]
+    cells = itemgetter(*order, 4 + 4 * m, 5 + 4 * m)
+    lines = [pn.trace_header(m)] + [
+        f"{n}," + ",".join(map(repr, cells(data[n * w:(n + 1) * w].tolist())))
+        for n in range(0, len(trace), decimation)
+    ]
+    return ("\n".join(lines) + "\n").encode()
+
+
+SIGNED_ZERO_PER_CHUNK = CHUNK_VALUES // (6 + 4 * 2)  # rows in a chunk of a two-node trace
+
+
+def _signed_zero_trace(rows):
+    """Two nodes whose columns probe the writer's reuse rules over ``rows`` rows.
+
+    u_ext is constant in the first chunk only; x has the bytes of y; uhat1 is
+    u1 except for one -0.0 where u1 is 0.0; alpha1 and alpha2, and E_obs and
+    E_hat, are constant columns of 0.0 and -0.0; D1 alternates the two zeros.
+    """
+    trace = Trace(dt=0.001, xi=1.0, num_nodes=2)
+    for n in range(rows):
+        u1 = 1.0 / (n + 1) if n % 5 == 0 else 0.0
+        trace.append(
+            t=n * 0.001,
+            u_ext=0.0 if n < SIGNED_ZERO_PER_CHUNK else 0.5 * n,
+            y=0.1 * n,
+            x=0.1 * n,
+            u=(u1, -0.0 if n % 3 == 0 else 0.0),
+            u_hat=(-0.0 if n == 7 else u1, -0.0 if n % 3 == 0 else 0.0),
+            alpha=(0.0, -0.0),
+            dissipated=(-0.0 if n % 2 else 0.0, 0.25 * n),
+            e_obs=0.0,
+            e_hat=-0.0,
+        )
+    return trace
+
+
+def test_writer_matches_the_row_wise_reference(tmp_path, bundled_runs):
+    path = tmp_path / "t.csv"
+    cases = [(name, trace) for name, (_cfg, trace, _m) in bundled_runs.items()]
+    scen = pn.Scenario(kind="dual-sine", duration=1.5, dt=0.001, amplitude=20.0)
+    driven = pn.build(driven_topology(8), scen).run()[0]
+    w, m = driven.width, driven.num_nodes
+    fired = [any(driven.data[n * w + 4 + 2 * m:n * w + 4 + 3 * m]) for n in range(len(driven))]
+    assert 0 < sum(fired) < len(fired)  # fired and unfired rows side by side
+    cases.append(("driven_topology(8)", driven))
+    per_chunk = SIGNED_ZERO_PER_CHUNK
+    for rows in (1, 8, per_chunk - 1, per_chunk, per_chunk + 1, 2 * per_chunk - 1,
+                 2 * per_chunk + 1, 7 * per_chunk - 1, 7 * per_chunk + 1):
+        cases.append((f"signed zeros, {rows} rows", _signed_zero_trace(rows)))
+    for name, trace in cases:
+        for decimation in (1, 7):
+            pn.write_trace(trace, path, decimation)
+            assert path.read_bytes() == _row_wise_reference(trace, decimation), (name, decimation)
 
 
 def _random_trace(steps, m=8):
