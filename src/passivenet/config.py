@@ -9,6 +9,7 @@ invariant is checked while the domain objects are constructed.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
@@ -53,8 +54,12 @@ class RunConfig:
     decimation: int = 1
 
     def __post_init__(self):
-        if self.decimation < 1:
-            raise ConfigurationError("output decimation must be >= 1")
+        d = self.decimation
+        if not isinstance(d, int) or isinstance(d, bool) or d < 1:
+            raise ConfigurationError(f"output.decimation must be an integer >= 1, got {d!r:.40}")
+        if os.path.normpath(self.trace_path) == os.path.normpath(self.summary_path):
+            raise ConfigurationError(
+                f"output.trace and output.summary name the same file {self.trace_path!r}")
 
     def with_overrides(
         self,
@@ -197,16 +202,13 @@ def parse_config(text: str) -> RunConfig:
 
     out_sec = doc.get("output", {})
     _reject_unknown(out_sec, _OUTPUT_KEYS, "section 'output'")
-    decimation = out_sec.get("decimation", 1)
-    if not isinstance(decimation, int) or isinstance(decimation, bool):
-        raise ConfigurationError("output.decimation must be an integer")
 
     return RunConfig(
         topology=topology,
         scenario=scenario,
         trace_path=_file_name(out_sec, "trace", "trace.csv"),
         summary_path=_file_name(out_sec, "summary", "summary.txt"),
-        decimation=decimation,
+        decimation=out_sec.get("decimation", 1),
     )
 
 

@@ -15,11 +15,7 @@ CHUNK_VALUES = 1 << 12
 
 
 def trace_header(num_nodes: int) -> str:
-    cols = ["n", "t", "u_ext", "y", "x"]
-    for i in range(1, num_nodes + 1):
-        cols += [f"u{i}", f"uhat{i}", f"alpha{i}", f"D{i}"]
-    cols += ["E_obs", "E_hat"]
-    return ",".join(cols)
+    return ",".join(["n", *Trace(num_nodes=num_nodes).columns])
 
 
 def write_trace(trace: Trace, path, decimation: int = 1) -> None:
@@ -38,20 +34,16 @@ def write_trace(trace: Trace, path, decimation: int = 1) -> None:
         raise ConfigurationError("decimation must be an integer")
     if decimation < 1:
         raise ConfigurationError("decimation must be >= 1")
-    m, w, data = trace.num_nodes, trace.width, trace.data
-    order = [0, 1, 2, 3]  # a stored row's values in column order
-    for i in range(4, 4 + m):
-        order += [i, i + m, i + 2 * m, i + 3 * m]
-    order += [4 + 4 * m, 5 + 4 * m]
+    w, data = trace.width, trace.data
     rows = range(0, len(trace), decimation)
     per_chunk = max(1, CHUNK_VALUES // w)
     with open(path, "w", newline="\n") as fh:
-        fh.write(trace_header(m) + "\n")
+        fh.write(",".join(["n", *trace.columns]) + "\n")
         for first in range(0, len(rows), per_chunk):
             chunk = rows[first:first + per_chunk]
             a, b = chunk[0] * w, chunk[-1] * w + w
             formatted, columns = {}, []
-            for j in order:
+            for j in trace.columns.values():
                 col = data[a + j:b:w * decimation]
                 key = col.tobytes()
                 if key not in formatted:

@@ -189,8 +189,9 @@ def check_passive_baseline() -> None:
     trace, metrics = build(cfg.topology, replace(cfg.scenario, duration=2.0)).run()
     _expect(not metrics.diverged, "diverged")
     _expect(metrics.total_injected == 0.0, f"injected {metrics.total_injected!r} J")
-    _expect(all(r.e_obs >= 0.0 for r in trace.records), "E_obs went negative")
-    _expect(all(a == 0.0 for r in trace.records for a in r.alpha), "a gain fired")
+    _expect(all(e >= 0.0 for e in trace.column("E_obs")), "E_obs went negative")
+    alphas = (trace.column(f"alpha{i}") for i in range(1, trace.num_nodes + 1))
+    _expect(all(a == 0.0 for alpha in alphas for a in alpha), "a gain fired")
 
 
 CHECKS = [

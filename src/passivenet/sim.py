@@ -157,18 +157,22 @@ class Trace:
     A row is t, u_ext, y, x, then the groups u[M], u_hat[M], alpha[M],
     D[M], then E_obs, E_hat; the step number n is the row's index.  All rows
     live in one growable ``array('d')``, ``data``, at 8 bytes a value.
-    ``records`` is a read-only sequence view that builds a
-    :class:`StepRecord` of builtin numbers for each row it is asked for.
+    ``columns`` maps each trace-file column name after ``n``, in file order
+    (t, u_ext, y, x, u1, uhat1, alpha1, D1, ..., E_obs, E_hat), to its offset
+    in a row, and ``column(name)`` returns that column's values over the run.
     """
 
     def __init__(self, dt: float = 0.0, xi: float = 0.0, num_nodes: int = 0):
         self.dt = dt
         self.xi = xi
-        self.num_nodes = num_nodes
-        self.width = 6 + 4 * num_nodes
+        self.num_nodes = m = num_nodes
+        self.width = 6 + 4 * m
         self.data = array("d")
         self._pack = struct.Struct(f"{self.width}d").pack
-        self.records = _Records(self)
+        self.columns = {"t": 0, "u_ext": 1, "y": 2, "x": 3, **{
+            f"{group}{i + 1}": 4 + k * m + i
+            for i in range(m) for k, group in enumerate(("u", "uhat", "alpha", "D"))
+        }, "E_obs": 4 + 4 * m, "E_hat": 5 + 4 * m}
 
     def __len__(self) -> int:
         return len(self.data) // self.width
@@ -179,36 +183,20 @@ class Trace:
             self._pack(t, u_ext, y, x, *u, *u_hat, *alpha, *dissipated, e_obs, e_hat)
         )
 
+    def column(self, name: str) -> array:
+        """The named column's value on every row, in step order."""
+        return self.data[self.columns[name]::self.width]
 
-class _Records:
-    """Read-only sequence of a Trace's rows as StepRecords, built on access."""
-
-    def __init__(self, trace: Trace):
-        self._trace = trace
-
-    def __len__(self) -> int:
-        return len(self._trace)
-
-    def __getitem__(self, n: int) -> StepRecord:
-        trace, m = self._trace, self._trace.num_nodes
-        if n < 0:
-            n += len(trace)
-        if not 0 <= n < len(trace):
-            raise IndexError("trace row index out of range")
-        row = trace.data[n * trace.width:(n + 1) * trace.width].tolist()
-        return StepRecord._make((
-            n, *row[:4], tuple(row[4:4 + m]), tuple(row[4 + m:4 + 2 * m]),
-            tuple(row[4 + 2 * m:4 + 3 * m]), tuple(row[4 + 3 * m:4 + 4 * m]), *row[-2:],
-        ))
-
-    def __iter__(self):
-        return map(self.__getitem__, range(len(self)))
-
-    def __eq__(self, other):
-        if not isinstance(other, _Records):
-            return NotImplemented
-        a, b = self._trace, other._trace
-        return a.num_nodes == b.num_nodes and a.data == b.data
+    @property
+    def records(self):
+        """Each row as a :class:`StepRecord`, in order; only the benchmark harness reads it."""
+        m, w = self.num_nodes, self.width
+        for n in range(len(self)):
+            row = self.data[n * w:(n + 1) * w].tolist()
+            yield StepRecord(
+                n, *row[:4], tuple(row[4:4 + m]), tuple(row[4 + m:4 + 2 * m]),
+                tuple(row[4 + 2 * m:4 + 3 * m]), tuple(row[4 + 3 * m:4 + 4 * m]), *row[-2:],
+            )
 
 
 @dataclass(frozen=True)
@@ -320,14 +308,14 @@ def summarize(trace: Trace, diverged: bool) -> SummaryMetrics:
     if not len(trace):
         zeros = (0.0,) * trace.num_nodes
         return SummaryMetrics(diverged, 0.0, 0.0, zeros, zeros, 0.0, 0)
-    last = trace.records[-1]
-    dissipated = last.dissipated
+    last, cols = trace.data[-trace.width:], trace.columns
+    dissipated = tuple(last[cols[f"D{i}"]] for i in range(1, trace.num_nodes + 1))
     total = fold(dissipated)
     shares = tuple(d / total for d in dissipated) if total > 0.0 else (0.0,) * len(dissipated)
     return SummaryMetrics(
         diverged=diverged,
-        min_e_hat=min(trace.data[trace.width - 1::trace.width]),
-        final_abs_y=abs(last.y),
+        min_e_hat=min(trace.column("E_hat")),
+        final_abs_y=abs(last[cols["y"]]),
         dissipated=dissipated,
         shares=shares,
         total_injected=total,

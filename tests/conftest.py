@@ -17,9 +17,10 @@ def table1_topology(**overrides) -> pn.Topology:
 
 
 def driven_topology(m: int = 64) -> pn.Topology:
-    """The driven benchmark's network at M = ``m``: passive_baseline's triples
-    scaled by 3/M * U[0.5, 2], a random half of them sign-flipped, round-trip
-    delays of 50-150 ms at 20 rad/s, log-uniform weights."""
+    """A network of the driven benchmark's kind at M = ``m``, drawn once from
+    ``numpy.random.default_rng(64)``, so not the benchmark's own per-seed draw:
+    passive_baseline's triples scaled by 3/M * U[0.5, 2], a random half of them
+    sign-flipped, round-trip delays of 50-150 ms at 20 rad/s, log-uniform weights."""
     rng = np.random.default_rng(64)
     flipped = set(rng.permutation(m)[: m // 2].tolist())
     nodes = []
@@ -36,6 +37,11 @@ def driven_topology(m: int = 64) -> pn.Topology:
         xi=0.0,
         command_filter_cutoff=15.0,
     )
+
+
+def per_node(trace, group: str) -> list[tuple[float, ...]]:
+    """Each row's M values of ``group`` ("u", "uhat", "alpha" or "D"), one tuple a row."""
+    return list(zip(*(trace.column(f"{group}{i}") for i in range(1, trace.num_nodes + 1))))
 
 
 @pytest.fixture(scope="session")

@@ -7,6 +7,8 @@ import passivenet as pn
 from passivenet.allocator import allocate
 from passivenet.cli import main
 
+from conftest import per_node
+
 
 def _report(name: str, ok: bool) -> None:
     print(f"\n[acceptance] {name}: {'PASS' if ok else 'FAIL'}")
@@ -83,13 +85,13 @@ def test_criterion_2_observer_oracle_equivalence(bundled_runs, name):
     _cfg, trace, _metrics = bundled_runs[name]
     worst = 0.0
     total = 0.0
-    for rec in trace.records:
-        y_vec = np.full(trace.num_nodes, rec.y)
+    for y, u_hat, e_hat in zip(trace.column("y"), per_node(trace, "uhat"), trace.column("E_hat")):
+        y_vec = np.full(trace.num_nodes, y)
         total += trace.dt * (
-            trace.xi * rec.y * rec.y
-            + float(np.dot(np.asarray(rec.u_hat), y_vec))
+            trace.xi * y * y
+            + float(np.dot(np.asarray(u_hat), y_vec))
         )
-        worst = max(worst, abs(total - rec.e_hat))
+        worst = max(worst, abs(total - e_hat))
     _report(
         f"criterion 2: incremental E_hat equals re-summation on {name} "
         f"(worst |diff| = {worst:.3e})",
@@ -101,7 +103,7 @@ def test_criterion_3_impulse_reproduction(bundled_runs):
     _, trace_on, metrics_on = bundled_runs["table1.cfg"]
     _, trace_off, metrics_off = bundled_runs["table1_nostab.cfg"]
 
-    y_on = np.asarray([r.y for r in trace_on.records])
+    y_on = np.asarray(trace_on.column("y"))
     tail = np.abs(y_on[int(0.9 * len(y_on)):])
     on_ok = (
         bool(np.all(np.isfinite(y_on)))
@@ -110,7 +112,7 @@ def test_criterion_3_impulse_reproduction(bundled_runs):
         and not metrics_on.diverged
     )
 
-    e_off = np.asarray([r.e_obs for r in trace_off.records])
+    e_off = np.asarray(trace_off.column("E_obs"))
     below = e_off < -1e3
     off_ok = metrics_off.diverged and bool(below.any())
     if off_ok:
@@ -168,7 +170,7 @@ def test_criterion_5_osp_index_values():
 
 def test_criterion_6_passive_baseline(bundled_runs):
     _cfg, trace, metrics = bundled_runs["passive_baseline.cfg"]
-    never_fired = all(all(a == 0.0 for a in rec.alpha) for rec in trace.records)
+    never_fired = all(all(a == 0.0 for a in alpha) for alpha in per_node(trace, "alpha"))
     ok = (
         not metrics.diverged
         and never_fired

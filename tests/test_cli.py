@@ -108,6 +108,16 @@ def test_decimation_row_count(tmp_path):
     assert len(lines) == 1 + len(kept)
 
 
+def test_trace_and_summary_on_one_path_is_refused(tmp_path, capsys):
+    doc = _short_doc(duration=0.1)
+    doc["output"]["trace"] = doc["output"]["summary"] = "out.txt"
+    cfg = _write(tmp_path, doc)
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out)]) == 2
+    assert "same file" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bundled_name_resolution(tmp_path):
     rc = main(["--config", "table1_nostab.cfg", "--out", str(tmp_path / "out")])
     assert rc == 0

@@ -122,6 +122,27 @@ def test_decimation_validation():
         _parse(doc)
 
 
+def test_run_config_checks_decimation_itself():
+    cfg = pn.parse_config_file(pn.bundled_config_path("table1.cfg"))
+    for decimation in (2.5, True, 1.0, 0, -1, "2"):
+        with pytest.raises(pn.ConfigurationError, match="decimation must be an integer >= 1"):
+            dataclasses.replace(cfg, decimation=decimation)
+    assert dataclasses.replace(cfg, decimation=7).decimation == 7
+
+
+def test_trace_and_summary_must_name_different_files():
+    doc = _table1_doc()
+    doc["output"]["trace"] = doc["output"]["summary"] = "out.txt"
+    with pytest.raises(pn.ConfigurationError, match="same file"):
+        _parse(doc)
+    cfg = pn.parse_config_file(pn.bundled_config_path("table1.cfg"))
+    for trace, summary in (("out.txt", "./out.txt"), ("a/../out.txt", "out.txt"),
+                           ("runs/out.txt", "runs//out.txt")):
+        with pytest.raises(pn.ConfigurationError, match="same file"):
+            dataclasses.replace(cfg, trace_path=trace, summary_path=summary)
+    assert dataclasses.replace(cfg, trace_path="out.csv", summary_path="out.txt")
+
+
 def test_wrong_types_are_named_errors():
     for *path, value in (
         ("scenario", "duration", "abc"),

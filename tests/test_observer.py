@@ -10,7 +10,7 @@ from passivenet.errors import fold
 from passivenet.observer import HoldLedger, _first_nonnegative
 from passivenet.selfcheck import shipped
 
-from conftest import TABLE1_HUB
+from conftest import TABLE1_HUB, per_node
 
 
 def test_all_zero_signals():
@@ -203,14 +203,15 @@ def _replay_drift(trace) -> tuple[float, float]:
     exact_dt, exact_xi = Fraction(dt), Fraction(xi)
     rounded = exact = Fraction(0)
     worst_rounded = worst_exact = 0.0
-    for rec in trace.records:
-        y = rec.y
-        rounded += Fraction(dt * y * (xi * y + fold(rec.u)))
-        rounded += Fraction(fold([dt * y * y * a for a in rec.alpha]))
+    rows = zip(trace.column("y"), per_node(trace, "u"), per_node(trace, "alpha"),
+               trace.column("E_hat"))
+    for y, u, alpha, e_hat in rows:
+        rounded += Fraction(dt * y * (xi * y + fold(u)))
+        rounded += Fraction(fold([dt * y * y * a for a in alpha]))
         fy = Fraction(y)
-        exact += exact_dt * fy * (exact_xi * fy + sum(map(Fraction, rec.u)))
-        exact += exact_dt * fy * fy * sum(map(Fraction, rec.alpha))
-        e_hat = Fraction(rec.e_hat)
+        exact += exact_dt * fy * (exact_xi * fy + sum(map(Fraction, u)))
+        exact += exact_dt * fy * fy * sum(map(Fraction, alpha))
+        e_hat = Fraction(e_hat)
         worst_rounded = max(worst_rounded, abs(float(e_hat - rounded)))
         worst_exact = max(worst_exact, abs(float(e_hat - exact)))
     return worst_rounded, worst_exact

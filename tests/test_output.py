@@ -1,6 +1,5 @@
 import random
 import tracemalloc
-from operator import itemgetter
 
 import pytest
 
@@ -8,7 +7,7 @@ import passivenet as pn
 from passivenet.output import CHUNK_VALUES
 from passivenet.sim import SummaryMetrics, Trace
 
-from conftest import PASSIVE_BASELINE, driven_topology
+from conftest import PASSIVE_BASELINE, driven_topology, per_node
 
 
 def _tiny_trace():
@@ -41,12 +40,12 @@ def test_trace_values_round_trip_exactly(tmp_path):
     lines = path.read_text().splitlines()
     assert len(lines) == 6
     header = lines[0].split(",")
-    for rec, line in zip(trace.records, lines[1:]):
+    for n, line in enumerate(lines[1:]):
         cells = dict(zip(header, line.split(",")))
-        assert int(cells["n"]) == rec.n
-        assert float(cells["y"]) == rec.y  # repr precision round-trips
-        assert float(cells["u2"]) == rec.u[1]
-        assert float(cells["E_obs"]) == rec.e_obs
+        assert int(cells["n"]) == n
+        assert float(cells["y"]) == trace.column("y")[n]  # repr precision round-trips
+        assert float(cells["u2"]) == trace.column("u2")[n]
+        assert float(cells["E_obs"]) == trace.column("E_obs")[n]
 
 
 def test_trace_decimation_and_validation(tmp_path):
@@ -75,14 +74,10 @@ def test_refused_write_creates_no_file(tmp_path):
 
 def _row_wise_reference(trace, decimation):
     """The CSV bytes as the writer formed them one row at a time, before it went column-wise."""
-    m, w, data = trace.num_nodes, trace.width, trace.data
-    order = [0, 1, 2, 3]
-    for i in range(4, 4 + m):
-        order += [i, i + m, i + 2 * m, i + 3 * m]
-    cells = itemgetter(*order, 4 + 4 * m, 5 + 4 * m)
-    lines = [pn.trace_header(m)] + [
-        f"{n}," + ",".join(map(repr, cells(data[n * w:(n + 1) * w].tolist())))
-        for n in range(0, len(trace), decimation)
+    columns = [trace.column(name)[::decimation] for name in trace.columns]
+    lines = [pn.trace_header(trace.num_nodes)] + [
+        f"{n}," + ",".join(map(repr, row))
+        for n, row in zip(range(0, len(trace), decimation), zip(*columns))
     ]
     return ("\n".join(lines) + "\n").encode()
 
@@ -120,8 +115,7 @@ def test_writer_matches_the_row_wise_reference(tmp_path, bundled_runs):
     cases = [(name, trace) for name, (_cfg, trace, _m) in bundled_runs.items()]
     scen = pn.Scenario(kind="dual-sine", duration=1.5, dt=0.001, amplitude=20.0)
     driven = pn.build(driven_topology(8), scen).run()[0]
-    w, m = driven.width, driven.num_nodes
-    fired = [any(driven.data[n * w + 4 + 2 * m:n * w + 4 + 3 * m]) for n in range(len(driven))]
+    fired = [any(alpha) for alpha in per_node(driven, "alpha")]
     assert 0 < sum(fired) < len(fired)  # fired and unfired rows side by side
     cases.append(("driven_topology(8)", driven))
     per_chunk = SIGNED_ZERO_PER_CHUNK
@@ -132,6 +126,28 @@ def test_writer_matches_the_row_wise_reference(tmp_path, bundled_runs):
         for decimation in (1, 7):
             pn.write_trace(trace, path, decimation)
             assert path.read_bytes() == _row_wise_reference(trace, decimation), (name, decimation)
+
+
+def test_columns_name_the_trace_file(tmp_path, bundled_runs):
+    path = tmp_path / "t.csv"
+    for name, (_cfg, trace, _m) in bundled_runs.items():
+        pn.write_trace(trace, path)
+        header, *lines = path.read_text().splitlines()
+        names = header.split(",")
+        assert names[0] == "n" and list(trace.columns) == names[1:], name
+        cells = list(zip(*(line.split(",") for line in lines)))
+        for col, written in zip(names[1:], cells[1:]):
+            got = [v.hex() for v in trace.column(col)]
+            assert got == [float(c).hex() for c in written], (name, col)
+        # the benchmark harness iterates records; they must match the columns
+        records = list(trace.records)
+        assert all(type(r) is pn.StepRecord for r in records), name
+        assert [r.n for r in records] == list(range(len(trace))), name
+        assert [r.y.hex() for r in records] == [v.hex() for v in trace.column("y")]
+        assert [r.e_hat.hex() for r in records] == [v.hex() for v in trace.column("E_hat")]
+        assert [tuple(v.hex() for v in r.u_hat) for r in records] == [
+            tuple(v.hex() for v in row) for row in per_node(trace, "uhat")
+        ], name
 
 
 def _random_trace(steps, m=8):
@@ -158,7 +174,7 @@ def test_writer_memory_does_not_grow_with_trace_length(tmp_path):
     peak_short = _peak_write_bytes(short, tmp_path / "short.csv")
     peak_long = _peak_write_bytes(long, tmp_path / "long.csv")
     size_long = (tmp_path / "long.csv").stat().st_size
-    assert len(long.records) == 2 * len(short.records)
+    assert len(long) == 2 * len(short)
     assert peak_long <= 1.1 * peak_short
     assert peak_long < size_long  # the file is streamed, never held whole
 

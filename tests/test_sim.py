@@ -19,6 +19,7 @@ from conftest import (
     TABLE1_HUB,
     TABLE1_NODES,
     driven_topology,
+    per_node,
     table1_topology,
 )
 
@@ -49,27 +50,27 @@ def test_all_quiet_run_is_identically_zero():
     scen = pn.Scenario(kind="external", duration=0.5, dt=0.001, samples=())
     trace, metrics = pn.build(topo, scen).run()
     assert metrics.steps == 500
-    for rec in trace.records:
-        assert rec.y == 0.0 and rec.x == 0.0 and rec.e_obs == 0.0 and rec.e_hat == 0.0
-        assert all(v == 0.0 for v in rec.u + rec.u_hat + rec.alpha + rec.dissipated)
+    for name in trace.columns:  # every column but t and u_ext
+        if name not in ("t", "u_ext"):
+            assert all(v == 0.0 for v in trace.column(name)), name
 
 
 def test_stabilizer_off_equivalence():
     topo = table1_topology(stabilizer_enabled=False)
     scen = pn.Scenario(kind="impulse", duration=0.3, dt=0.001)
     trace, _ = pn.build(topo, scen).run()
-    assert len(trace.records) > 0
-    for rec in trace.records:
-        assert rec.u_hat == rec.u
-        assert all(a == 0.0 for a in rec.alpha)
-        assert all(d == 0.0 for d in rec.dissipated)
+    assert len(trace) > 0
+    for i in range(1, trace.num_nodes + 1):
+        assert trace.column(f"uhat{i}") == trace.column(f"u{i}")
+        assert all(a == 0.0 for a in trace.column(f"alpha{i}"))
+        assert all(d == 0.0 for d in trace.column(f"D{i}"))
 
 
 def test_determinism_bitwise():
     scen = pn.Scenario(kind="dual-sine", duration=1.0, dt=0.001, amplitude=20.0)
     t1, m1 = pn.build(table1_topology(), scen).run()
     t2, m2 = pn.build(table1_topology(), scen).run()
-    assert t1.records == t2.records
+    assert t1.num_nodes == t2.num_nodes and t1.data == t2.data
     assert m1 == m2
 
 
@@ -80,8 +81,8 @@ def test_system_level_share_law():
     scen = pn.Scenario(kind="dual-sine", duration=3.0, dt=0.001, amplitude=20.0)
     trace, metrics = pn.build(topo, scen).run()
     assert metrics.total_injected > 0.0
-    for rec in trace.records:
-        prods = [d * qi for d, qi in zip(rec.dissipated, q)]
+    for dissipated in per_node(trace, "D"):
+        prods = [d * qi for d, qi in zip(dissipated, q)]
         ref = max(abs(p) for p in prods)
         if ref == 0.0:
             continue
@@ -92,10 +93,10 @@ def _resummed_e_hat(trace):
     total = 0.0
     out = []
     m = trace.num_nodes
-    for rec in trace.records:
-        y_vec = np.full(m, rec.y)
+    for y, u_hat in zip(trace.column("y"), per_node(trace, "uhat")):
+        y_vec = np.full(m, y)
         total += trace.dt * (
-            trace.xi * rec.y * rec.y + float(np.dot(np.asarray(rec.u_hat), y_vec))
+            trace.xi * y * y + float(np.dot(np.asarray(u_hat), y_vec))
         )
         out.append(total)
     return out
@@ -107,8 +108,8 @@ def test_energy_audit_resummation(stabilizer):
     scen = pn.Scenario(kind="impulse", duration=2.0, dt=0.001)
     trace, _ = pn.build(topo, scen).run()
     resummed = _resummed_e_hat(trace)
-    for rec, want in zip(trace.records, resummed):
-        assert rec.e_hat == pytest.approx(want, abs=1e-9)
+    for e_hat, want in zip(trace.column("E_hat"), resummed):
+        assert e_hat == pytest.approx(want, abs=1e-9)
 
 
 def test_unstabilized_run_diverges_and_stops_early():
@@ -117,8 +118,7 @@ def test_unstabilized_run_diverges_and_stops_early():
     trace, metrics = pn.build(topo, scen).run()
     assert metrics.diverged
     assert metrics.steps < scen.num_steps
-    last = trace.records[-1]
-    assert abs(last.y) > 1e6 or last.e_obs < -1e6
+    assert abs(trace.column("y")[-1]) > 1e6 or trace.column("E_obs")[-1] < -1e6
 
 
 def test_step_past_duration_faults():
@@ -134,9 +134,9 @@ def test_dissipated_is_nondecreasing_and_sums_to_ledger():
     sim = pn.build(table1_topology(), scen)
     trace, metrics = sim.run()
     prev = (0.0,) * 3
-    for rec in trace.records:
-        assert all(d >= p for d, p in zip(rec.dissipated, prev))
-        prev = rec.dissipated
+    for dissipated in per_node(trace, "D"):
+        assert all(d >= p for d, p in zip(dissipated, prev))
+        prev = dissipated
     assert sum(prev) == pytest.approx(sim.ledger.injected_energy, rel=1e-12, abs=1e-300)
 
 
@@ -180,18 +180,17 @@ RECORD_RUNS = {
 
 @pytest.mark.parametrize("run", sorted(RECORD_RUNS))
 def test_records_hold_only_builtin_numbers(run, tmp_path):
-    # a numpy scalar in a record would be written as np.float64(...) under numpy 2
+    # a numpy scalar in the trace or summary would be written as np.float64(...)
+    # under numpy 2
     topo, scen = RECORD_RUNS[run]()
-    trace, _ = pn.build(topo, scen).run()
-    assert trace.records
-    for rec in trace.records:
-        assert type(rec.n) is int
-        for name in ("t", "u_ext", "y", "x", "e_obs", "e_hat"):
-            assert type(getattr(rec, name)) is float, name
-        for name in ("u", "u_hat", "alpha", "dissipated"):
-            cells = getattr(rec, name)
-            assert type(cells) is tuple and len(cells) == topo.num_nodes, name
-            assert all(type(v) is float for v in cells), name
+    trace, metrics = pn.build(topo, scen).run()
+    assert len(trace)
+    assert len(trace.columns) == 6 + 4 * topo.num_nodes
+    for name in trace.columns:
+        cells = trace.column(name).tolist()
+        assert len(cells) == len(trace) and all(type(v) is float for v in cells), name
+    for v in (metrics.min_e_hat, metrics.final_abs_y, *metrics.dissipated, *metrics.shares):
+        assert type(v) is float
     pn.write_trace(trace, tmp_path / "trace.csv")
     assert "np." not in (tmp_path / "trace.csv").read_text()
 
@@ -244,10 +243,8 @@ def test_huge_external_samples_stop_with_finite_records(stabilizer, amplitude):
     trace, metrics = pn.build(topo, scen).run()
     assert metrics.diverged
     assert math.isfinite(metrics.min_e_hat)
-    for rec in trace.records:
-        cells = (rec.t, rec.u_ext, rec.y, rec.x, rec.e_obs, rec.e_hat)
-        cells += rec.u + rec.u_hat + rec.alpha + rec.dissipated
-        assert all(math.isfinite(c) for c in cells)
+    for name in trace.columns:
+        assert all(math.isfinite(c) for c in trace.column(name)), name
 
 
 _Z = TABLE1_NODES[0]
@@ -285,39 +282,14 @@ def test_delay_longer_than_the_run_reads_only_cold_start_zeros():
     cfg = pn.parse_config_file(pn.bundled_config_path("table1.cfg"))
     scenario = dataclasses.replace(cfg.scenario, duration=2.0)
 
-    def records(offset):
+    def trace(offset):
         first = dataclasses.replace(cfg.topology.delays[0], offset=offset)
         topology = dataclasses.replace(cfg.topology, delays=(first, *cfg.topology.delays[1:]))
-        return pn.build(topology, scenario).run()[0].records
+        return pn.build(topology, scenario).run()[0]
 
-    far = records(1e9)
-    assert len(far) == 2000 and all(rec.u[0] == 0.0 for rec in far)
-    assert far == records(2.5)  # a round trip of 2.5 s also never returns within 2 s
-
-
-def test_records_view_is_a_lazy_read_only_sequence():
-    scen = pn.Scenario(kind="dual-sine", duration=0.6, dt=0.001, amplitude=20.0)
-    trace, metrics = pn.build(table1_topology(), scen).run()
-    records = trace.records
-    assert len(records) == metrics.steps == 600 and records
-    listed = list(records)
-    assert [rec.n for rec in listed] == list(range(600))
-    assert records[-1] == records[599] == listed[-1]
-    assert records[-600] == records[0] == listed[0]
-    for n in (-601, 600):
-        with pytest.raises(IndexError):
-            records[n]
-    with pytest.raises(TypeError):
-        records[0] = listed[1]
-    assert not hasattr(records, "append")
-    assert records[-1].y == trace.data[-trace.width + 2]
-    assert type(records[-1]) is pn.StepRecord and type(records[-1].u) is tuple
-
-    again, _ = pn.build(table1_topology(), scen).run()
-    assert records == again.records and list(again.records) == listed
-    louder = dataclasses.replace(scen, amplitude=21.0)
-    assert records != pn.build(table1_topology(), louder).run()[0].records
-    assert not pn.Trace(dt=0.001, num_nodes=3).records
+    far = trace(1e9)
+    assert len(far) == 2000 and all(u == 0.0 for u in far.column("u1"))
+    assert far.data == trace(2.5).data  # a round trip of 2.5 s also never returns within 2 s
 
 
 def test_trace_stores_one_packed_row_per_step():
@@ -359,13 +331,13 @@ def test_ports_match_a_per_port_reference_loop():
     ports = [(leg, pn.DelayLine(leg.max_delay, scen.dt),
               pn.NodeState(z, scen.dt, topo.inertia_filter_cutoff, topo.command_filter_cutoff),
               pn.DelayLine(leg.max_delay, scen.dt)) for z, leg in zip(topo.nodes, legs)]
-    for rec in trace.records:
+    for t, y, got in zip(trace.column("t"), trace.column("y"), per_node(trace, "u")):
         u = []
         for leg, forward, node, backward in ports:
-            d = leg.delay_at(rec.t)
-            u.append(backward.push_and_sample(node.step(forward.push_and_sample(rec.y, d)), d))
-        assert rec.u == tuple(u)
-    assert all(any(rec.u[i] != 0.0 for rec in trace.records) for i in range(8))
+            d = leg.delay_at(t)
+            u.append(backward.push_and_sample(node.step(forward.push_and_sample(y, d)), d))
+        assert got == tuple(u)
+    assert all(any(u != 0.0 for u in trace.column(f"u{i}")) for i in range(1, 9))
 
 
 def test_step_makes_the_benchmarks_exact_structural_calls(monkeypatch):
@@ -432,7 +404,7 @@ def test_passive_baseline_converges_first_order_in_dt():
         scen = dataclasses.replace(cfg.scenario, duration=5.0, dt=dt)
         trace, metrics = pn.build(cfg.topology, scen).run()
         assert not metrics.diverged
-        samples.append(trace.data[2::trace.width * round(0.5 / dt)])
+        samples.append(trace.column("y")[::round(0.5 / dt)])
     *coarse, fine = samples
     scale = max(map(abs, fine))
     errors = [max(abs(a - b) for a, b in zip(ys, fine)) / scale for ys in coarse]
