@@ -15,7 +15,6 @@ from .config import (
     parse_config,
     parse_config_file,
     resolve_config_path,
-    serialize_config,
 )
 from .delay import DelayLine, DelayProfile
 from .errors import ConfigurationError, SimulationFault
@@ -73,7 +72,6 @@ __all__ = [
     "read_summary",
     "resolve_config_path",
     "run_self_checks",
-    "serialize_config",
     "summarize",
     "trace_header",
     "write_summary",

@@ -1,4 +1,4 @@
-"""Scenario configuration files: parsing, validation, serialization.
+"""Scenario configuration files: parsing and validation.
 
 Configs are JSON documents (conventionally ``*.cfg``) with four sections,
 ``topology``, ``scenario``, ``control``, and ``output``.  Parsing is
@@ -210,41 +210,6 @@ def parse_config(text: str) -> RunConfig:
         summary_path=_file_name(out_sec, "summary", "summary.txt"),
         decimation=out_sec.get("decimation", 1),
     )
-
-
-def serialize_config(cfg: RunConfig) -> str:
-    topo, scen = cfg.topology, cfg.scenario
-    doc = {
-        "topology": {
-            "hub": {"num": list(topo.hub.num), "den": list(topo.hub.den)},
-            "xi": topo.xi,
-            "nodes": [{"m": z.m, "b": z.b, "k": z.k} for z in topo.nodes],
-            "delays": [
-                {"offset": p.offset, "amplitude": p.amplitude, "frequency": p.frequency}
-                for p in topo.delays
-            ],
-            "inertia_filter_cutoff": topo.inertia_filter_cutoff,
-            "command_filter_cutoff": topo.command_filter_cutoff,
-        },
-        "scenario": {
-            "kind": scen.kind,
-            "amplitude": scen.amplitude,
-            "duration": scen.duration,
-            "dt": scen.dt,
-        },
-        "control": {
-            "stabilizer": topo.stabilizer_enabled,
-            "q_diag": list(topo.weights.diagonal),
-        },
-        "output": {
-            "trace": cfg.trace_path,
-            "summary": cfg.summary_path,
-            "decimation": cfg.decimation,
-        },
-    }
-    if scen.samples is not None:
-        doc["scenario"]["samples"] = list(scen.samples)
-    return json.dumps(doc, indent=2) + "\n"
 
 
 def parse_config_file(path) -> RunConfig:

@@ -133,7 +133,9 @@ class HoldLedger:
         sample plus, if the next sample lands on the side where ``raw`` would
         act unaltered, the exact work of ``raw`` held over that sample too,
         must stay >= 0.  The answer is the force nearest ``floor`` that
-        achieves this or, when none does, the one that comes closest.
+        achieves this or, when none does, the one that comes closest; where
+        that is the limit of one side at the cut between landing sides, which
+        the side never attains, the answer is the cut itself.
         """
         hub, nu, dt = self.hub, self.credit, self.dt
         gam, kap, car = hub.hold_travel, hub.hold_velocity, hub.hold_carry
@@ -164,13 +166,11 @@ class HoldLedger:
                 pieces = [(0.0, math.inf, both if lead - slope > 0.0 else here)]
 
         best_t, best_value = 0.0, -math.inf
-        for lo, hi, quad in pieces:
-            a, b, c = _along(quad, floor, direction, lo)
-            t = _first_nonnegative(a, b, c, hi - lo)
-            if t is not None:
+        for lo, hi, (a, b, c) in pieces:
+            s0 = floor + direction * lo  # the piece as a quadratic in t, s = s0 + direction*t
+            t, value = _reach(a, direction * (2.0 * a * s0 + b), (a * s0 + b) * s0 + c, hi - lo)
+            if value is None:
                 return floor + direction * (lo + t)
-            t = _argmax(a, b, hi - lo)
-            value = (a * t + b) * t + c
             if value > best_value:
                 best_t, best_value = lo + t, value
         return floor + direction * best_t
@@ -184,35 +184,21 @@ def _check_credit(credit: float) -> float:
     return float(credit)
 
 
-def _along(quad, origin: float, direction: float, shift: float):
-    """Coefficients of q(origin + direction*(shift + t)) as a quadratic in t."""
-    a, b, c = quad
-    s0 = origin + direction * shift
-    return a, direction * (2.0 * a * s0 + b), (a * s0 + b) * s0 + c
-
-
-def _first_nonnegative(a: float, b: float, c: float, length: float):
-    """Smallest t in [0, length) with a*t^2 + b*t + c >= 0, or None."""
+def _reach(a: float, b: float, c: float, length: float):
+    """(t, None) for the smallest t in [0, length) with q(t) = a*t^2 + b*t + c >= 0;
+    where there is none, (t, q(t)) for the t in [0, length] maximizing q (length may be inf)."""
     if c >= 0.0:
-        return 0.0
-    if a == 0.0:
-        t = -c / b if b > 0.0 else math.inf
-        return t if t < length else None
-    disc = b * b - 4.0 * a * c
-    if disc < 0.0:
-        return None
-    q = -0.5 * (b + math.copysign(math.sqrt(disc), b))  # 0 where b, a*c underflow: t = sqrt(-c/a)
-    roots = [r for r in (q / a, c / q if q else math.sqrt(max(0.0, -c / a))) if 0.0 < r < length]
-    return min(roots) if roots else None
-
-
-def _argmax(a: float, b: float, length: float) -> float:
-    """t in [0, length] maximizing a*t^2 + b*t (length may be inf)."""
-    candidates = [0.0]
-    if math.isfinite(length):
-        candidates.append(length)
-    if a < 0.0:
-        vertex = -b / (2.0 * a)
-        if 0.0 < vertex < length:
-            candidates.append(vertex)
-    return max(candidates, key=lambda t: (a * t + b) * t)
+        return 0.0, None
+    if a == 0.0 and b > 0.0 and -c / b < length:
+        return -c / b, None
+    if a != 0.0 and (disc := b * b - 4.0 * a * c) >= 0.0:
+        q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+        other = c / q if q else math.sqrt(max(0.0, -c / a))  # q is 0 where b, a*c underflow
+        roots = [r for r in (q / a, other) if 0.0 < r < length]
+        if roots:
+            return min(roots), None
+    candidates = [0.0, length] if math.isfinite(length) else [0.0]
+    if a < 0.0 and 0.0 < (vertex := -b / (2.0 * a)) < length:
+        candidates.append(vertex)
+    t = max(candidates, key=lambda t: (a * t + b) * t)
+    return t, (a * t + b) * t + c

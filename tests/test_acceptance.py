@@ -157,6 +157,24 @@ def test_case_studies_run_bounded(bundled_runs):
     _report("case studies run bounded (" + "; ".join(details) + ")", ok)
 
 
+def test_q_moves_only_the_books(bundled_runs):
+    # case1-3 differ only in Q.  Every port sees the broadcast y, so S_i = y^2
+    # and sum(alpha_i) = (-target/dt)/y^2 whatever Q is, and the hub feels only
+    # sum(alpha_i)*y: the three runs move alike up to rounding (at most 5.4e-11
+    # of scale, y on case2), and only the dissipation shares follow 1/q.
+    _, reference, _ = bundled_runs["case1.cfg"]
+    for name in ("case1.cfg", "case2.cfg", "case3.cfg"):
+        cfg, trace, metrics = bundled_runs[name]
+        assert len(trace) == len(reference)
+        for column in ("y", "x", "E_obs"):
+            want = np.asarray(reference.column(column))
+            got = np.asarray(trace.column(column))
+            assert np.max(np.abs(got - want)) <= 1e-8 * np.max(np.abs(want))
+        inverse = [1.0 / q for q in cfg.topology.weights.diagonal]
+        law = [w / sum(inverse) for w in inverse]
+        assert metrics.shares == pytest.approx(law, rel=0, abs=1e-12)
+
+
 def test_criterion_5_osp_index_values():
     grid = np.logspace(-3, 4, 1000)
     xi_hub = pn.estimate_osp_index(pn.ContinuousTF((1.0, 0.0), (0.5, 15.0, 1.0)), grid)

@@ -7,7 +7,7 @@ import pytest
 
 import passivenet as pn
 from passivenet.errors import fold
-from passivenet.observer import HoldLedger, _first_nonnegative
+from passivenet.observer import HoldLedger, _reach
 from passivenet.selfcheck import shipped
 
 from conftest import TABLE1_HUB, per_node
@@ -185,7 +185,7 @@ def test_target_prices_the_held_force_where_the_hold_binds():
 
 def test_first_nonnegative_root_where_the_discriminant_underflows():
     # b = 0 and 4*a*c underflows, so b*b - 4*a*c is 0: the root of 1e-200*(t^2 - 1) is 1
-    assert _first_nonnegative(1e-200, 0.0, -1e-200, math.inf) == 1.0
+    assert _reach(1e-200, 0.0, -1e-200, math.inf) == (1.0, None)
 
 
 # Replayed E_hat may differ from the trace's by at most this, in J.  500 steps
