@@ -28,7 +28,6 @@ from .lti import (
 )
 from .observer import EnergyLedger
 from .output import read_summary, trace_header, write_summary, write_trace
-from .selfcheck import run_self_checks
 from .sim import (
     Scenario,
     Simulation,
@@ -41,6 +40,15 @@ from .sim import (
 )
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    if name == "run_self_checks":  # the self-check suite loads only where it is used
+        from .selfcheck import run_self_checks
+
+        return run_self_checks
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "AllocationResult",

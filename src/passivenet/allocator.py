@@ -72,9 +72,10 @@ def allocate(e_obs: float, squared_outputs, weights: WeightMatrix, dt: float) ->
         raise ConfigurationError(f"sample period must be positive and finite, got {dt!r}")
     if not math.isfinite(e_obs):
         raise SimulationFault(f"non-finite observable energy: {e_obs!r}")
-    dt, e_obs, m = float(dt), float(e_obs), len(weights)
+    inverse = weights.inverse
+    dt, e_obs, m = float(dt), float(e_obs), len(inverse)
     try:  # a flat sequence of numbers; a scalar, a string or a nested one raises TypeError
-        s = list(squared_outputs)
+        s = tuple(squared_outputs)
         finite = all(map(math.isfinite, s))
     except TypeError:
         finite = None
@@ -84,13 +85,13 @@ def allocate(e_obs: float, squared_outputs, weights: WeightMatrix, dt: float) ->
             f"got {squared_outputs!r}"
         )
     if not finite:
-        raise SimulationFault(f"non-finite squared-output vector: {s!r}")
+        raise SimulationFault(f"non-finite squared-output vector: {list(s)!r}")
     s = tuple(map(float, s))  # builtin floats, so the gains are too
     if min(s) < 0.0:
         raise SimulationFault("squared-output vector has a negative entry")
 
     if e_obs < 0.0:
-        s_over_q = [si * r for si, r in zip(s, weights.inverse)]
+        s_over_q = list(map(mul, s, inverse))
         try:  # S' Q^{-1} S, exactly rounded; fsum raises on finite terms that sum past range
             denom = math.fsum(map(mul, s, s_over_q))
         except OverflowError:

@@ -9,7 +9,6 @@ from pathlib import Path
 from .config import parse_config_file, resolve_config_path
 from .errors import ConfigurationError, SimulationFault
 from .output import write_summary, write_trace
-from .selfcheck import run_self_checks
 from .sim import SCENARIO_KINDS, build
 
 
@@ -74,6 +73,8 @@ def main(argv=None) -> int:
 
         sim = build(cfg.topology, cfg.scenario)
         if args.seed_check:
+            from .selfcheck import run_self_checks
+
             return 0 if run_self_checks() else 1
 
         trace, metrics = sim.run()

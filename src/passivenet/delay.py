@@ -1,4 +1,5 @@
-"""Time-varying transport delay: sinusoidal delay law plus ring-buffer line."""
+"""Time-varying transport delay: sinusoidal delay law, split into sine terms at build
+for the step's port pass (one sine per distinct frequency), plus ring-buffer line."""
 
 from __future__ import annotations
 
@@ -37,19 +38,15 @@ class DelayProfile:
         return DelayProfile(self.offset / 2.0, self.amplitude / 2.0, self.frequency)
 
 
-def delay_evaluator(legs):
-    """``t -> [leg.delay_at(t) for leg in legs]``, bit for bit, with one sine per distinct
-    frequency (keyed with its sign, as sin(-0.0 * t) is -0.0)."""
-    sine_of = {}  # (frequency, sign) -> index of its sine
+def sine_terms(legs) -> tuple[list[float], list[tuple[float, float, int]]]:
+    """The distinct frequencies of ``legs`` and each leg's (offset, amplitude, j), so that
+    ``offset + amplitude * sin(frequencies[j] * t)`` is ``leg.delay_at(t)`` bit for bit.
+
+    A frequency is keyed with its sign, as sin(-0.0 * t) is -0.0."""
+    sine_of = {}  # (frequency, sign) -> j, the index of its sine
     terms = [(leg.offset, leg.amplitude, sine_of.setdefault(
         (leg.frequency, copysign(1.0, leg.frequency)), len(sine_of))) for leg in legs]
-    frequencies = [f for f, _ in sine_of]
-
-    def delays_at(t: float) -> list[float]:
-        sines = [sin(f * t) for f in frequencies]
-        return [offset + amplitude * sines[j] for offset, amplitude, j in terms]
-
-    return delays_at
+    return [f for f, _ in sine_of], terms
 
 
 class DelayLine:

@@ -78,8 +78,7 @@ class HubState:
     """
 
     def __init__(self, a: list, b: list, rows: list, dt: float, hold: tuple):
-        self._a = a
-        self._b = b
+        self._state_rows = tuple(zip(a, b))  # each row of Ad with its entry of bd
         self._x = [0.0] * len(b)
         self.dt = dt
         self._pos = 0.0
@@ -99,7 +98,7 @@ class HubState:
         v, pos = self.velocity, self._pos
         try:  # fsum raises on an overflow or on inf - inf
             self._x = x = [math.fsum([*map(mul, row, self._x), bi * force])
-                           for row, bi in zip(self._a, self._b)]
+                           for row, bi in self._state_rows]
             self.velocity, self.travel = [math.fsum(map(mul, row, x)) for row in self._rows]
         except (OverflowError, ValueError):
             raise SimulationFault("hub state overflows float range") from None

@@ -4,8 +4,9 @@ Per-step pipeline (one sample period, no feedthrough anywhere):
 
 1. read the external input u_ext[n]
 2. read the hub velocity y[n], which the hub stored when it last advanced
-3. form every port's one-leg delay d_i(t) in one pass (one sine per distinct
-   frequency, see :func:`passivenet.delay.delay_evaluator`), forward-delay y
+3. the port pass: one sine per distinct delay frequency, then for each port
+   its one-leg delay d_i(t) = offset_i + amplitude_i * sines[j_i] from the
+   terms it holds (see :func:`passivenet.delay.sine_terms`), forward-delay y
    by d_i, step the node (its command filter, when set, then its impedance)
    and backward-delay its force by d_i to the hub port: the raw feedback u_i[n]
 4. observer ingest of y and the summed raw feedback -> observable energy E_obs[n]
@@ -17,7 +18,8 @@ Per-step pipeline (one sample period, no feedthrough anywhere):
    validated where they enter, so only overflow in the loop can trip it)
 9. record the injected dissipation in the ledger
 10. book the exact work of the held net force sum(u_hat) in the hold ledger
-    and advance the hub with the hub force u_ext - sum(u_hat)
+    and advance the hub with the hub force u_ext - sum(u_hat), one fsum per
+    state row over that row of Ad and its entry of bd, paired at build
 11. append the step's row to the trace
 """
 
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .allocator import WeightMatrix, allocate
-from .delay import DelayLine, DelayProfile, delay_evaluator
+from .delay import DelayLine, DelayProfile, sine_terms
 from .errors import ConfigurationError, SimulationFault, check_positive_finite, fold
 from .lti import ContinuousTF, ImpedanceTriple, NodeState, estimate_osp_index, make_hub_admittance
 from .observer import EnergyLedger, HoldLedger
@@ -216,20 +218,23 @@ class Simulation:
     def __init__(self, topology: Topology, scenario: Scenario):
         self.topology = topology
         self.scenario = scenario
-        dt = scenario.dt
+        self.dt = dt = scenario.dt  # these four are read on every step, so set once here
+        self.stabilizer_enabled, self.weights = topology.stabilizer_enabled, topology.weights
+        self.num_nodes = topology.num_nodes
         self.xi = topology.xi if topology.xi is not None else estimate_osp_index(topology.hub)
         self.hub = make_hub_admittance(topology.hub, dt)
         legs = [delay.halved() for delay in topology.delays]
-        self.delays_at = delay_evaluator(legs)  # t -> every port's one-leg delay d, in order
-        # per node, bound once: forward push, node step, backward push (d from self.delays_at)
+        self.frequencies, terms = sine_terms(legs)  # one sine a step per distinct frequency
+        # per node, bound once: its one-leg delay d = offset + amplitude * sines[j], then
+        # forward push, node step, backward push
         self.ports = []
-        for z, leg in zip(topology.nodes, legs):
+        for z, leg, term in zip(topology.nodes, legs, terms):
             if not math.isfinite(leg.frequency * (scenario.num_steps * dt)):
                 raise ConfigurationError(f"delay frequency {leg.frequency!r} overflows phase f*t")
             # a delay longer than the run only ever reads the cold-start 0
             length = min(leg.max_delay, scenario.duration)
             node = NodeState(z, dt, topology.inertia_filter_cutoff, topology.command_filter_cutoff)
-            self.ports.append((DelayLine(length, dt).push_and_sample, node.step,
+            self.ports.append((*term, DelayLine(length, dt).push_and_sample, node.step,
                                DelayLine(length, dt).push_and_sample))
         self.ledger = EnergyLedger(dt, self.xi, topology.num_nodes)
         self.hold_ledger = HoldLedger(
@@ -251,26 +256,27 @@ class Simulation:
         n = self.n
         if n >= self.num_steps:
             raise SimulationFault("simulation already ran past its duration")
-        topo, scen = self.topology, self.scenario
-        dt = scen.dt
+        dt = self.dt
         t = n * dt
 
         u_ext = self._next_input
-        self._next_input = scen.input_at(n + 1)
+        self._next_input = self.scenario.input_at(n + 1)
         y = self.hub.velocity
 
+        sines = [math.sin(f * t) for f in self.frequencies]
         u = [backward(node(forward(y, d)), d)
-             for d, (forward, node, backward) in zip(self.delays_at(t), self.ports)]
+             for offset, amplitude, j, forward, node, backward in self.ports
+             for d in (offset + amplitude * sines[j],)]
 
         raw = fold(u)
         e_obs = self.ledger.ingest_step(y, raw)
-        if topo.stabilizer_enabled:
+        if self.stabilizer_enabled:
             target = self.hold_ledger.target(raw, e_obs, u_ext, self._next_input)
-            gains = allocate(target, [y * y] * len(u), topo.weights, dt).gains
+            gains = allocate(target, [y * y] * self.num_nodes, self.weights, dt).gains
             u_hat = [ui + a * y for ui, a in zip(u, gains)]
             net = fold(u_hat)
         else:
-            gains = [0.0] * len(u)
+            gains = [0.0] * self.num_nodes
             u_hat, net = u, raw  # bit-exact pass-through, no -0.0 flips in the trace
 
         force = u_ext - net

@@ -6,7 +6,7 @@ import pytest
 from scipy.optimize import brentq
 
 import passivenet as pn
-from passivenet.delay import delay_evaluator
+from passivenet.delay import sine_terms
 
 
 def test_delay_law_values():
@@ -29,10 +29,10 @@ def test_halved_profile():
     assert (p.offset, p.amplitude, p.frequency) == (0.05, 0.0125, 20.0)
 
 
-def test_delay_evaluator_gives_the_bits_of_delay_at():
+def test_sine_terms_give_the_bits_of_delay_at():
     # repeated, distinct and zero frequencies (-0.0 too, whose sine is -0.0) and
     # negative amplitudes, in interleaved port order; a zero offset lets a signed
-    # zero show
+    # zero show.  The step forms each port's d as below.
     rng = random.Random(15)
     for dt in (0.001, 0.0007, 0.013):
         pool = [20.0, 20.0, -20.0, 7.5, 0.0, -0.0, rng.uniform(-50.0, 50.0)]
@@ -41,11 +41,15 @@ def test_delay_evaluator_gives_the_bits_of_delay_at():
             offset = rng.uniform(0.0, 0.2)
             legs.append(pn.DelayProfile(offset, rng.uniform(-offset, offset), rng.choice(pool)))
         rng.shuffle(legs)
-        delays_at = delay_evaluator(legs)
+        frequencies, terms = sine_terms(legs)
+        assert len(frequencies) == len({(leg.frequency, math.copysign(1.0, leg.frequency))
+                                        for leg in legs})
         for n in range(3000):
-            got, want = delays_at(n * dt), [leg.delay_at(n * dt) for leg in legs]
+            sines = [math.sin(f * (n * dt)) for f in frequencies]
+            got = [offset + amplitude * sines[j] for offset, amplitude, j in terms]
+            want = [leg.delay_at(n * dt) for leg in legs]
             assert got == want and list(map(repr, got)) == list(map(repr, want))
-    assert delay_evaluator([])(0.5) == []
+    assert sine_terms([]) == ([], [])
 
 
 def test_zero_delay_is_identity():

@@ -7,6 +7,7 @@ Step count and ``diverged`` must match exactly; every other value within
 TOLERANCE times the scale of its column.
 """
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -42,3 +43,28 @@ def test_bundled_run_matches_golden_checkpoints(bundled_runs, name):
     assert sorted(got) == sorted(golden["summary"])
     for key, want in golden["summary"].items():
         assert abs(got[key] - want) <= TOLERANCE * summary_scale[key], key
+
+
+# sha256 of each bundled run's ``trace.data.tobytes()``, every step's row bit for bit
+TRACE_DIGESTS = {
+    "case1.cfg": "e87042c603054dc3056effb501f191fccfc1a9523d910134e875fe5444c76b0a",
+    "case2.cfg": "fa436d9ceac489ea3f9d89da637c61f584d98b0009c43f02103c5309af66f461",
+    "case3.cfg": "c30432de6b243d63bd8bcf720e7bb116e7b22daf387be762aad2c6e81ccad06c",
+    "passive_baseline.cfg": "9b9f6db2a07e21d0c953605c04f241a5f62e6a99751dd1aef48b49d742f21362",
+    "table1.cfg": "b5cb661a766e71b9ff741a04b522acd64690806b0b767ec98fad44f9afbb5ce7",
+    "table1_nostab.cfg": "6c6aff716912d004af13f54e0c53be1a7e9c3965b7fd67b4a2bde332f8490d3e",
+}
+
+
+def test_bundled_traces_keep_their_bits(bundled_runs):
+    """Every bundled run's trace is the recorded one, bit for bit.
+
+    A step rewrite that keeps every floating-point expression keeps these
+    digests.  A change that moves the bits on purpose (closed-form gains,
+    ROADMAP item 4, or the grid-free hub credit of item 9 step 2) changes
+    them: re-record the digests in that change and log the re-record, with
+    its reason, in CHANGES.md.
+    """
+    got = {name: hashlib.sha256(trace.data.tobytes()).hexdigest()
+           for name, (_cfg, trace, _metrics) in bundled_runs.items()}
+    assert got == TRACE_DIGESTS

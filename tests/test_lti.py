@@ -171,7 +171,8 @@ def test_next_sample_is_the_fsum_of_the_next_rows_bit_for_bit(tf):
     assert hub.next_sample() == (0.0, 0.0)
     for f in rng.normal(scale=50.0, size=100):
         hub.step(float(f))
-        rows = _matmul(hub._rows, hub._a)  # [c, travel_row] Ad, rows [2:4] of the realization
+        ad = [row for row, _ in hub._state_rows]
+        rows = _matmul(hub._rows, ad)  # [c, travel_row] Ad, rows [2:4] of the realization
         assert hub.next_sample() == tuple(math.fsum(map(mul, row, hub._x)) for row in rows)
 
 
@@ -214,7 +215,8 @@ def _assert_realization_equals_scipy(tf, dt=0.001):
     hub = pn.make_hub_admittance(tf, dt)
     want_ad, want_bd, want_c = _scipy_zoh(tf, dt)
     assert np.array_equal(hub._rows[0], want_c), tf
-    mine = (hub._a, hub._b, *_hold_integrals(lambda block: _expm(block.tolist()), tf, dt))
+    ad, bd = zip(*hub._state_rows)
+    mine = (ad, bd, *_hold_integrals(lambda block: _expm(block.tolist()), tf, dt))
     scipys = (want_ad, want_bd, *_hold_integrals(expm, tf, dt))
     for name, got, want in zip(("Ad", "bd", "once", "twice"), mine, scipys):
         err = np.abs(np.asarray(got) - want).max()

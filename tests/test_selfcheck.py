@@ -1,4 +1,7 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -22,3 +25,14 @@ def test_baseline_check_runs_the_shipped_file(tmp_path, monkeypatch):
                         raising=False)
     with pytest.raises(selfcheck.CheckFailed, match="diverged"):
         selfcheck.check_passive_baseline()
+
+
+def test_import_leaves_the_self_checks_unloaded():
+    # `import passivenet` skips the suite; `passivenet.run_self_checks` loads it on first use
+    code = ("import sys, passivenet\n"
+            "print('passivenet.selfcheck' in sys.modules)\n"
+            "print(passivenet.run_self_checks.__module__)\n")
+    src = Path(pn.__file__).resolve().parent.parent
+    out = subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True, text=True,
+                         check=True).stdout.split()
+    assert out == ["False", "passivenet.selfcheck"]
