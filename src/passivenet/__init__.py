@@ -22,7 +22,6 @@ from .lti import (
     ContinuousTF,
     ImpedanceTriple,
     NodeState,
-    default_osp_grid,
     estimate_osp_index,
     make_hub_admittance,
 )
@@ -72,7 +71,6 @@ __all__ = [
     "build",
     "bundled_config_names",
     "bundled_config_path",
-    "default_osp_grid",
     "estimate_osp_index",
     "make_hub_admittance",
     "parse_config",

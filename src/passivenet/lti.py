@@ -13,9 +13,10 @@ backward-difference derivative and trapezoidal integral.
 from __future__ import annotations
 
 import math
+import struct
+from bisect import bisect_left
 from dataclasses import dataclass
-from functools import reduce
-from itertools import chain, dropwhile
+from itertools import chain, dropwhile, product, zip_longest
 from operator import mul
 
 from .errors import ConfigurationError, SimulationFault, check_positive_finite
@@ -220,30 +221,23 @@ def _lowpass_beta(cutoff: float | None, dt: float) -> float | None:
     return (cutoff * dt) / (1.0 + cutoff * dt)
 
 
-def default_osp_grid() -> tuple[float, ...]:
-    """1000 log-spaced frequencies, 1e-3 to 1e4, at numpy's ``linspace`` exponents bit for bit."""
-    return (*(10.0 ** (k * (7.0 / 999) - 3.0) for k in range(999)), 10.0 ** 4.0)
-
-
 def _rhp_root_count(den) -> int:
     """Roots of den (descending powers) with Re > 0, counted exactly.
 
-    A float is a dyadic rational, so one power of two scales the coefficients
-    to integers, and the count is integer arithmetic.  Roots at 0 (trailing
-    zeros) are stripped, so an integrator counts none.  Write p(jw) =
-    R(w) + jI(w) and n = deg p.  Routh's test in its Sturm-chain form runs the
-    chain of f0 = R, f1 = I (f0 = I, f1 = R for odd n), whose signs at +-inf
-    give the Cauchy index of f1/f0 through any degree drop, a zero lead in a
-    nonzero Routh row among them.  Its last term d(w) = gcd(R, I) = g(jw),
-    where g = gcd(p(s), p(-s)) = h(s^2) holds the roots mirrored through 0.
-    For q = p/g, n_L - n_R = -index (even n) or +index (odd n).  Each root z
-    of h puts one of the pair +-sqrt(z) in each half-plane, unless z < 0 puts
-    both on the imaginary axis, where they count none, repeated or not; those
-    are the real roots of d, counted with multiplicity.
+    The coefficients are scaled to integers, so the count is integer
+    arithmetic.  Roots at 0 (trailing zeros) are stripped, so an integrator
+    counts none.  Write p(jw) = R(w) + jI(w) and n = deg p.  Routh's test in
+    its Sturm-chain form runs the chain of f0 = R, f1 = I (f0 = I, f1 = R for
+    odd n), whose signs at +-inf give the Cauchy index of f1/f0 through any
+    degree drop, a zero lead in a nonzero Routh row among them.  Its last term
+    d(w) = gcd(R, I) = g(jw), where g = gcd(p(s), p(-s)) = h(s^2) holds the
+    roots mirrored through 0.  For q = p/g, n_L - n_R = -index (even n) or
+    +index (odd n).  Each root z of h puts one of the pair +-sqrt(z) in each
+    half-plane, unless z < 0 puts both on the imaginary axis, where they count
+    none, repeated or not; those are the real roots of d, counted with
+    multiplicity.
     """
-    ratios = [float(c).as_integer_ratio() for c in den]
-    scale = max(d for _, d in ratios)  # every denominator is a power of two
-    p = [n * (scale // d) for n, d in ratios]
+    p, = _integer_coefficients(den)
     while p[-1] == 0:
         p.pop()
     n = len(p) - 1
@@ -255,7 +249,7 @@ def _rhp_root_count(den) -> int:
     d = f = sturm[-1]
     axis = 0
     while len(f) > 1:  # the real roots of d, each once per multiplicity
-        chain = _sturm(f, [c * (len(f) - 1 - i) for i, c in enumerate(f[:-1])])
+        chain = _root_chain(f)
         axis += _sign_changes(chain, -1) - _sign_changes(chain, 1)
         f = chain[-1]
     mirrored = len(d) - 1
@@ -282,46 +276,61 @@ def _sturm(f0: list, f1: list) -> list:
     return sturm
 
 
+def _integer_coefficients(*polys) -> list[list[int]]:
+    """``polys`` times one power of two, the largest denominator of their floats."""
+    ratios = [[float(c).as_integer_ratio() for c in p] for p in polys]
+    scale = max(d for r in ratios for _, d in r)
+    return [[n * (scale // d) for n, d in r] for r in ratios]
+
+
+def _root_chain(f: list) -> list:
+    """The Sturm chain of f and f', whose sign changes count f's distinct real roots."""
+    return _sturm(f, [c * (len(f) - 1 - i) for i, c in enumerate(f[:-1])])
+
+
 def _sign_changes(sturm: list, at: int) -> int:
-    """Sign changes along a Sturm chain at -inf (``at`` = -1) or +inf (1)."""
-    signs = [f[0] * at ** (len(f) - 1) > 0 for f in sturm]
+    """Sign changes along a Sturm chain at -inf (``at`` = -1), +inf (1) or just above 0 (0)."""
+    signs = [(f[0] * at ** (len(f) - 1) if at else [c for c in f if c][-1]) > 0 for f in sturm]
     return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
-def estimate_osp_index(tf: ContinuousTF, omega_grid=None) -> float:
-    """Largest output-strict-passivity index supported on the grid.
+def _re_conj_product(f: list, g: list) -> list:
+    """Re[f(jw) conj(g(jw))] ascending in x = w^2, for f and g ascending in s: the term
+    f_a g_b j^a (-j)^b w^(a+b) is real where a - b is even, and is then (-1)^((a-b)/2)."""
+    out = [0] * ((len(f) + len(g)) // 2)
+    for (a, fa), (b, gb) in product(enumerate(f), enumerate(g)):
+        if (a - b) % 2 == 0:
+            out[(a + b) // 2] += (-1) ** (abs(a - b) // 2) * fa * gb
+    return out
 
-    Returns min over the grid of Re{Y(jw)} / |Y(jw)|^2, clamped to 0 if the
-    ratio goes negative anywhere (the model then contributes no guaranteed
-    passive capacity).  Models with right-half-plane poles are rejected;
-    poles on the imaginary axis are tolerated, but not a grid point on one,
-    or on an imaginary-axis zero.
+
+def estimate_osp_index(tf: ContinuousTF) -> float:
+    """A certified lower bound on the output-strict-passivity index of Y = num/den.
+
+    The index is the infimum over w > 0 of Re Y(jw)/|Y(jw)|^2 = Re Z(jw), Z = 1/Y, clamped
+    at 0; an unstable model is rejected.  With x = w^2, Re Z(jw) = P(x)/Q(x), where
+    P = Re[den conj(num)] and Q = |num|^2 are integers once num and den share one power
+    of two.  A double nu = m/2^e passes when 2^e P - m Q has no root on (0, inf), by a
+    Sturm chain, and is positive there.  The largest passing double, found by bisecting
+    the bit patterns of the nonnegative doubles, is never above the index.  It is the
+    double below an infimum attained at a w > 0 (14.999999999999998 for the bundled hub,
+    whose Re Z is 15 at every w), and may equal one approached as w -> 0 or inf.  It is
+    0.0 where nu = 0 fails: an integrator has Re Z = 0, Z vanishes at an imaginary-axis
+    pole of Y, and at an imaginary-axis zero of Y, P and Q share a root that no nu
+    clears, so 0.0 is the one bound that holds there.
     """
-    try:  # a flat sequence of numbers; a scalar, a string or a nested one raises TypeError
-        grid = list(default_osp_grid() if omega_grid is None else omega_grid)
-        ok = len(grid) > 0 and all(math.isfinite(w) and w > 0.0 for w in grid)
-    except TypeError:
-        ok = False
-    if not ok:
-        raise ConfigurationError(
-            "frequency grid must be a nonempty flat sequence of finite positive numbers"
-        )
     if _rhp_root_count(tf.den):
         raise ConfigurationError("passivity index is undefined for an unstable model")
-    worst = math.inf
-    for w in grid:
-        s = complex(0.0, w)  # numpy's 1j * w; then Horner, as np.polyval
-        n, d = (reduce(lambda acc, c: acc * s + c, p, 0j) for p in (tf.num, tf.den))
-        if n == 0.0 or d == 0.0:
-            raise ConfigurationError(
-                f"frequency grid point {w!r} is on an imaginary-axis pole or zero of the model"
-            )
-        y = n / d
-        try:  # abs() raises on a magnitude past float range, the division on one below it
-            ratio = y.real / (abs(y) * abs(y))
-        except (OverflowError, ZeroDivisionError):
-            ratio = math.nan
-        if not math.isfinite(ratio):
-            raise ConfigurationError(f"frequency response overflows or vanishes at {w!r}")
-        worst = min(worst, ratio)
-    return max(0.0, worst)
+    num, den = (p[::-1] for p in _integer_coefficients(tf.num, tf.den))
+    pq = list(zip_longest(_re_conj_product(den, num), _re_conj_product(num, num), fillvalue=0))
+
+    def passes(bits: int) -> bool:  # bits: the IEEE pattern of a nonnegative double nu
+        m, scale = struct.unpack("<d", struct.pack("<Q", bits))[0].as_integer_ratio()
+        f = list(dropwhile(lambda c: c == 0, [scale * p - m * q for p, q in reversed(pq)]))
+        if not f or f[0] < 0:  # Re Z = nu at every w, or P = Q = 0; or negative past some w
+            return False
+        chain = _root_chain(f)
+        return _sign_changes(chain, 0) == _sign_changes(chain, 1)
+
+    first_fail = bisect_left(range(0x7FF0000000000000), True, key=lambda bits: not passes(bits))
+    return struct.unpack("<d", struct.pack("<Q", max(first_fail - 1, 0)))[0]  # 0.0 if 0.0 fails

@@ -49,8 +49,8 @@ class Topology:
     """Hub plus M remote nodes, their round-trip delay laws, and control knobs.
 
     ``xi`` is the hub passivity-index credit used by the observer; None means
-    estimate it from the hub model at build time.  The hold ledger always
-    credits the index measured from the hub model, whatever ``xi`` says.
+    the certified bound :func:`passivenet.lti.estimate_osp_index` of the hub
+    model, taken at build.  The hold ledger credits that bound, whatever ``xi`` says.
     ``inertia_filter_cutoff`` bandlimits each node's inertial force path
     (required for a well-posed sampled interconnection; None disables).
     ``command_filter_cutoff`` smooths the delayed velocity command each node
@@ -330,7 +330,7 @@ def summarize(trace: Trace, diverged: bool) -> SummaryMetrics:
 
 
 def _hold_credit(hub: ContinuousTF) -> float:
-    """The hub's measured passivity index, or 0 where none can be measured."""
+    """The hub's certified passivity index, or 0 for an unstable hub."""
     try:
         return estimate_osp_index(hub)
     except ConfigurationError:  # an unstable hub guarantees no passive capacity

@@ -176,12 +176,11 @@ def test_q_moves_only_the_books(bundled_runs):
 
 
 def test_criterion_5_osp_index_values():
-    grid = np.logspace(-3, 4, 1000)
-    xi_hub = pn.estimate_osp_index(pn.ContinuousTF((1.0, 0.0), (0.5, 15.0, 1.0)), grid)
-    xi_lag = pn.estimate_osp_index(pn.ContinuousTF((1.0,), (1.0, 1.0)), grid)
+    xi_hub = pn.estimate_osp_index(pn.ContinuousTF((1.0, 0.0), (0.5, 15.0, 1.0)))
+    xi_lag = pn.estimate_osp_index(pn.ContinuousTF((1.0,), (1.0, 1.0)))
     ok = abs(xi_hub - 15.0) <= 1e-6 and abs(xi_lag - 1.0) <= 1e-9
     _report(
-        f"criterion 5: passivity index sweep (hub = {xi_hub!r}, lag = {xi_lag!r})",
+        f"criterion 5: certified passivity index (hub = {xi_hub!r}, lag = {xi_lag!r})",
         ok,
     )
 

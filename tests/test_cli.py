@@ -1,4 +1,7 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -214,6 +217,23 @@ def test_seed_check_passes(capsys):
     assert rc == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines == [f"[seed-check] {name}: ok" for name, _ in selfcheck.CHECKS]
+
+
+def test_runtime_needs_neither_numpy_nor_scipy():
+    # a None entry in sys.modules makes every import of that name raise ImportError
+    code = ("import sys\n"
+            "sys.modules['numpy'] = sys.modules['scipy'] = None\n"
+            "import passivenet as pn\n"
+            "from passivenet.cli import main\n"
+            "for name in pn.bundled_config_names():\n"
+            "    cfg = pn.parse_config_file(pn.bundled_config_path(name))\n"
+            "    pn.build(cfg.topology, cfg.scenario)\n"
+            "sys.exit(main(['--config', 'table1.cfg', '--seed-check']))\n")
+    src = Path(pn.__file__).resolve().parent.parent
+    run = subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    lines = run.stdout.splitlines()
+    assert len(lines) == 8 and lines == [f"[seed-check] {name}: ok" for name, _ in selfcheck.CHECKS]
 
 
 def test_seed_check_reports_a_failing_check(monkeypatch, capsys):

@@ -47,10 +47,10 @@ def test_bundled_run_matches_golden_checkpoints(bundled_runs, name):
 
 # sha256 of each bundled run's ``trace.data.tobytes()``, every step's row bit for bit
 TRACE_DIGESTS = {
-    "case1.cfg": "e87042c603054dc3056effb501f191fccfc1a9523d910134e875fe5444c76b0a",
-    "case2.cfg": "fa436d9ceac489ea3f9d89da637c61f584d98b0009c43f02103c5309af66f461",
-    "case3.cfg": "c30432de6b243d63bd8bcf720e7bb116e7b22daf387be762aad2c6e81ccad06c",
-    "passive_baseline.cfg": "9b9f6db2a07e21d0c953605c04f241a5f62e6a99751dd1aef48b49d742f21362",
+    "case1.cfg": "b19ba1f5d4247cecbbc4c58e4de170af3a15487eb3274073ce2ac3a3009187a6",
+    "case2.cfg": "ce6b76131aeb19a62445c378002e9d330560a059ea230d94790d3f90a7cd14a8",
+    "case3.cfg": "390b277728a42a9823bc349ae957e10cf01e632a0017402fbd233c408294c7c1",
+    "passive_baseline.cfg": "d0c2360c7d31fc79840635d5ca86c22792f0d58d5f06b94f6ee462d3c7d679bb",
     "table1.cfg": "b5cb661a766e71b9ff741a04b522acd64690806b0b767ec98fad44f9afbb5ce7",
     "table1_nostab.cfg": "6c6aff716912d004af13f54e0c53be1a7e9c3965b7fd67b4a2bde332f8490d3e",
 }
@@ -61,9 +61,8 @@ def test_bundled_traces_keep_their_bits(bundled_runs):
 
     A step rewrite that keeps every floating-point expression keeps these
     digests.  A change that moves the bits on purpose (closed-form gains,
-    ROADMAP item 4, or the grid-free hub credit of item 9 step 2) changes
-    them: re-record the digests in that change and log the re-record, with
-    its reason, in CHANGES.md.
+    ROADMAP item 4, say) changes them: re-record the digests in that change
+    and log the re-record, with its reason, in CHANGES.md.
     """
     got = {name: hashlib.sha256(trace.data.tobytes()).hexdigest()
            for name, (_cfg, trace, _metrics) in bundled_runs.items()}
