@@ -1,4 +1,5 @@
-"""Fault types shared across the package, the one sample-period check and the one sum."""
+"""Fault types shared across the package, the one sample-period and decimation checks
+and the one sum."""
 
 import math
 from functools import reduce
@@ -18,6 +19,13 @@ def check_positive_finite(value: float, name: str = "sample period") -> float:
     if not 0.0 < value < math.inf:
         raise ConfigurationError(f"{name} must be positive and finite, got {value!r}")
     return float(value)
+
+
+def check_decimation(value, name: str = "decimation") -> int:
+    """``value`` if it is an int >= 1 (a bool is not): keep every ``value``-th trace row."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        raise ConfigurationError(f"{name} must be an integer >= 1, got {value!r:.40}")
+    return value
 
 
 def fold(values) -> float:

@@ -6,7 +6,7 @@ repeated runs of a deterministic scenario produce byte-identical files.
 
 from __future__ import annotations
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, check_decimation
 from .sim import SummaryMetrics, Trace
 
 # Trace values formatted per write: the writer's memory is bounded by this,
@@ -30,10 +30,7 @@ def write_trace(trace: Trace, path, decimation: int = 1) -> None:
     """
     if not len(trace):
         raise ConfigurationError("refusing to write an empty trace")
-    if not isinstance(decimation, int) or isinstance(decimation, bool):
-        raise ConfigurationError("decimation must be an integer")
-    if decimation < 1:
-        raise ConfigurationError("decimation must be >= 1")
+    check_decimation(decimation)
     w, data = trace.width, trace.data
     rows = range(0, len(trace), decimation)
     per_chunk = max(1, CHUNK_VALUES // w)

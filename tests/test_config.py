@@ -153,8 +153,32 @@ def test_wrong_types_are_named_errors():
         for key in path[:-1]:
             section = section[key]
         section[path[-1]] = value
-        with pytest.raises(pn.ConfigurationError, match="must be"):
+        dotted = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path).lstrip(".")
+        with pytest.raises(pn.ConfigurationError, match="must be") as err:
             _parse(doc)
+        assert dotted in str(err.value), (dotted, str(err.value))
+
+
+def test_duplicate_keys_are_rejected():
+    text = pn.bundled_config_path("table1.cfg").read_text()
+    for key, value, other in (("dt", "0.001", "0.002"), ("xi", "12.0", "0.0")):
+        once = f'"{key}": {value}'
+        assert text.count(once) == 1
+        with pytest.raises(pn.ConfigurationError, match=f"duplicate key '{key}'"):
+            pn.parse_config(text.replace(once, f'{once}, "{key}": {other}'))
+
+
+def test_defaults_live_in_the_types():
+    doc = _table1_doc()
+    topo, scen = doc["topology"], doc["scenario"]
+    bare = {"topology": {k: topo[k] for k in ("hub", "nodes", "delays")},
+            "scenario": {k: scen[k] for k in ("kind", "duration", "dt")}}
+    hub = pn.ContinuousTF(tuple(topo["hub"]["num"]), tuple(topo["hub"]["den"]))
+    nodes = tuple(pn.ImpedanceTriple(**n) for n in topo["nodes"])
+    delays = tuple(pn.DelayProfile(**d) for d in topo["delays"])
+    want = pn.RunConfig(pn.Topology(hub, nodes, delays, pn.WeightMatrix((1.0,) * len(nodes))),
+                        pn.Scenario(scen["kind"], scen["duration"], scen["dt"]))
+    assert _parse(bare) == want
 
 
 def test_removed_control_keys_parse_only_at_their_old_defaults():
