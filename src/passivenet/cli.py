@@ -79,10 +79,10 @@ def main(argv=None) -> int:
 
         trace, metrics = sim.run()
 
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        trace_path = out_dir / cfg.trace_path
-        summary_path = out_dir / cfg.summary_path
+        trace_path = Path(args.out) / cfg.trace_path
+        summary_path = Path(args.out) / cfg.summary_path
+        for path in (trace_path, summary_path):
+            path.parent.mkdir(parents=True, exist_ok=True)
         write_trace(trace, trace_path, cfg.decimation)
         write_summary(metrics, summary_path)
     except (ConfigurationError, SimulationFault, OSError) as exc:

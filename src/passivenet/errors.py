@@ -1,5 +1,5 @@
-"""Fault types shared across the package, the one sample-period and decimation checks
-and the one sum."""
+"""Fault types shared across the package, the one sample-period, credit and decimation
+checks and the one sum."""
 
 import math
 from functools import reduce
@@ -18,6 +18,14 @@ def check_positive_finite(value: float, name: str = "sample period") -> float:
     """``value`` as a float if it lies in (0, inf); NaN, inf, zero and negatives are rejected."""
     if not 0.0 < value < math.inf:
         raise ConfigurationError(f"{name} must be positive and finite, got {value!r}")
+    return float(value)
+
+
+def check_credit(value: float) -> float:
+    """``value`` as a float if it is finite and >= 0: a passivity credit a ledger may book."""
+    if not 0.0 <= value < math.inf:
+        raise ConfigurationError(
+            f"hub passivity index must be finite and nonnegative, got {value!r}")
     return float(value)
 
 

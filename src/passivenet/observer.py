@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from operator import add
 
-from .errors import SimulationFault, check_positive_finite, fold
+from .errors import ConfigurationError, check_credit, check_positive_finite, fold
 
 # A predicted next sample within this fraction of the held-force speed of
 # zero counts as landing on the held force's side: it leaves the rounding of
@@ -41,9 +41,9 @@ class EnergyLedger:
 
     def __init__(self, dt: float, xi: float, num_ports: int):
         if num_ports < 1:
-            raise SimulationFault("ledger needs at least one port")
+            raise ConfigurationError("ledger needs at least one port")
         self.dt = check_positive_finite(dt)
-        self.xi = _check_credit(xi)
+        self.xi = check_credit(xi)
         self.dissipated = [0.0] * num_ports  # D_i, reporting only
         self.observable_energy = 0.0  # E_obs at the last ingest
         self.controlled_energy = 0.0  # E_hat
@@ -92,7 +92,7 @@ class HoldLedger:
     """
 
     def __init__(self, credit: float, hub):
-        self.credit = nu = _check_credit(credit)
+        self.credit = nu = check_credit(credit)
         self.hub = hub
         self.dt = hub.dt
         self.energy = 0.0  # E_x
@@ -174,14 +174,6 @@ class HoldLedger:
             if value > best_value:
                 best_t, best_value = lo + t, value
         return floor + direction * best_t
-
-
-def _check_credit(credit: float) -> float:
-    if not math.isfinite(credit) or credit < 0.0:
-        raise SimulationFault(
-            f"hub passivity index must be finite and nonnegative, got {credit!r}"
-        )
-    return float(credit)
 
 
 def _reach(a: float, b: float, c: float, length: float):

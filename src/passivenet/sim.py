@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 from .allocator import WeightMatrix, allocate
 from .delay import DelayLine, DelayProfile, sine_terms
-from .errors import ConfigurationError, SimulationFault, check_positive_finite, fold
+from .errors import ConfigurationError, SimulationFault, check_credit, check_positive_finite, fold
 from .lti import ContinuousTF, ImpedanceTriple, NodeState, estimate_osp_index, make_hub_admittance
 from .observer import EnergyLedger, HoldLedger
 
@@ -78,8 +78,8 @@ class Topology:
             raise ConfigurationError(
                 f"weight diagonal has {len(self.weights)} entries for {m} nodes"
             )
-        if self.xi is not None and (not math.isfinite(self.xi) or self.xi < 0.0):
-            raise ConfigurationError("explicit hub passivity index must be >= 0")
+        if self.xi is not None:
+            check_credit(self.xi)
         for name, cut in (
             ("inertia_filter_cutoff", self.inertia_filter_cutoff),
             ("command_filter_cutoff", self.command_filter_cutoff),

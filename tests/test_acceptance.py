@@ -161,7 +161,8 @@ def test_q_moves_only_the_books(bundled_runs):
     # case1-3 differ only in Q.  Every port sees the broadcast y, so S_i = y^2
     # and sum(alpha_i) = (-target/dt)/y^2 whatever Q is, and the hub feels only
     # sum(alpha_i)*y: the three runs move alike up to rounding (at most 5.4e-11
-    # of scale, y on case2), and only the dissipation shares follow 1/q.
+    # of scale, y on case2), and only the dissipation shares follow 1/q, on
+    # every row: D_i*q_i agree to 1e-9 of the row's largest (at most 3.3e-14).
     _, reference, _ = bundled_runs["case1.cfg"]
     for name in ("case1.cfg", "case2.cfg", "case3.cfg"):
         cfg, trace, metrics = bundled_runs[name]
@@ -173,6 +174,9 @@ def test_q_moves_only_the_books(bundled_runs):
         inverse = [1.0 / q for q in cfg.topology.weights.diagonal]
         law = [w / sum(inverse) for w in inverse]
         assert metrics.shares == pytest.approx(law, rel=0, abs=1e-12)
+        weighted = np.asarray(per_node(trace, "D")) * cfg.topology.weights.diagonal
+        spread = weighted.max(axis=1) - weighted.min(axis=1)
+        assert np.all(spread <= 1e-9 * np.abs(weighted).max(axis=1)), name
 
 
 def test_criterion_5_osp_index_values():

@@ -94,40 +94,6 @@ def test_residual_is_formed_when_read_bit_for_bit():
     assert 100 < sum(fired) < 300
 
 
-def test_randomized_kkt_residual():
-    # stationarity: Q A + lambda S = 0 with lambda = (S'Q^{-1}S)^{-1} E_obs/dt
-    rng = random.Random(33)
-    for _ in range(500):
-        e_obs, s, q, dt = random_allocation(rng)
-        res = allocate(e_obs, s, q, dt)
-        if not res.fired:
-            continue
-        s, qd, gains = np.asarray(s), np.asarray(q.diagonal), np.asarray(res.gains)
-        lam = (e_obs / dt) / float(np.dot(s, s / qd))
-        resid = qd * gains + lam * s
-        scale = max(float(np.max(np.abs(qd * gains))), 1e-300)
-        assert float(np.max(np.abs(resid))) <= 1e-9 * scale
-
-
-def test_randomized_perturbation_optimality():
-    draw, rng = random.Random(34), np.random.default_rng(34)
-    for _ in range(50):
-        e_obs, s, q, dt = random_allocation(draw)
-        res = allocate(e_obs, s, q, dt)
-        if not res.fired:
-            continue
-        s, qd, gains = np.asarray(s), np.asarray(q.diagonal), np.asarray(res.gains)
-        m = len(qd)
-        base = float(gains @ (qd * gains))
-        z = rng.normal(size=(200, m))
-        ss = float(np.dot(s, s))
-        if ss > 0.0:
-            z = z - np.outer(z @ s / ss, s)  # feasible directions: z.s = 0
-        perturbed = gains + z
-        vals = np.einsum("ij,j,ij->i", perturbed, qd, perturbed)
-        assert np.all(vals >= base - 1e-9 * max(1.0, base))
-
-
 def test_identity_weight_gives_pseudoinverse_direction():
     rng = np.random.default_rng(36)
     for _ in range(200):

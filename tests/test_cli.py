@@ -50,6 +50,15 @@ def test_run_writes_trace_and_summary(tmp_path):
     assert float(summary["min_E_hat"]) >= -1e-9
 
 
+def test_nested_output_names_are_written(tmp_path):
+    # each output file's own directory is made, so the summary is not lost after the trace
+    doc = _short_doc(duration=0.05)
+    doc["output"].update(trace="traces/run/trace.csv", summary="sub/s.txt")
+    assert main(["--config", str(_write(tmp_path, doc)), "--out", str(tmp_path / "out")]) == 0
+    assert len((tmp_path / "out" / "traces" / "run" / "trace.csv").read_text().splitlines()) == 51
+    assert pn.read_summary(tmp_path / "out" / "sub" / "s.txt")["steps"] == "50"
+
+
 def test_q_diag_override_equals_edited_file(tmp_path):
     base = _write(tmp_path, _short_doc(q=(1.0, 1.0, 1.0)), "base.cfg")
     edited = _write(tmp_path, _short_doc(q=(1.0, 0.0001, 1.0)), "edited.cfg")
@@ -85,20 +94,6 @@ def test_scenario_override_equals_edited_file(tmp_path):
     assert (tmp_path / "a" / "trace.csv").read_bytes() == (
         tmp_path / "b" / "trace.csv"
     ).read_bytes()
-
-
-def test_stabilizer_off_trace_columns_match(tmp_path):
-    cfg = _write(tmp_path, _short_doc(stabilizer=False, duration=0.3))
-    assert main(["--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
-    lines = (tmp_path / "out" / "trace.csv").read_text().splitlines()
-    header = lines[0].split(",")
-    for row in lines[1:]:
-        cells = row.split(",")
-        for i in range(1, 4):
-            u = cells[header.index(f"u{i}")]
-            uhat = cells[header.index(f"uhat{i}")]
-            assert u == uhat
-            assert cells[header.index(f"alpha{i}")] == "0.0"
 
 
 def test_decimation_row_count(tmp_path):
@@ -149,23 +144,13 @@ def test_invalid_q_diag_flag(tmp_path, capsys):
     assert "comma-separated" in capsys.readouterr().err
 
 
-def test_overflowing_hub_is_a_configuration_error(tmp_path, capsys):
-    doc = _short_doc()
-    doc["topology"]["hub"] = {"num": [1.0], "den": [1.0, -2e5]}
-    doc["topology"]["xi"] = 0.0
-    doc["scenario"]["dt"] = 0.01
-    rc = main(["--config", str(_write(tmp_path, doc)), "--out", str(tmp_path / "out")])
-    assert rc == 2
-    assert capsys.readouterr().err.startswith("passivenet: error: hub realization is not finite")
-    assert not (tmp_path / "out" / "trace.csv").exists()
-
-
 @pytest.mark.parametrize("seed_check", [False, True])
 @pytest.mark.parametrize("den, xi, dt, error", [
     ([1.0, -1.0], None, 0.001, "passivity index is undefined for an unstable model"),
     ([1.0, -1000.0, 250000.0], 0.0, 1.0, "hub realization is not finite"),  # overflows in c Ad
     ([1.0, -360.0], 0.0, 1.0, "hub realization is not finite"),  # in travel_row Ad
-], ids=["unstable", "c_Ad", "travel_row_Ad"])
+    ([1.0, -2e5], 0.0, 0.01, "hub realization is not finite"),  # in Ad itself
+], ids=["unstable", "c_Ad", "travel_row_Ad", "Ad"])
 def test_unbuildable_run_exits_2_also_under_seed_check(tmp_path, capsys, den, xi, dt, error,
                                                        seed_check):
     doc = _short_doc()
@@ -212,15 +197,15 @@ def test_unwritable_output_is_reported(tmp_path, capsys):
     assert capsys.readouterr().err
 
 
-def test_seed_check_passes(capsys):
-    rc = main(["--config", "table1.cfg", "--seed-check"])
-    assert rc == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert lines == [f"[seed-check] {name}: ok" for name, _ in selfcheck.CHECKS]
-
-
-def test_runtime_needs_neither_numpy_nor_scipy():
-    # a None entry in sys.modules makes every import of that name raise ImportError
+def test_runtime_needs_neither_numpy_nor_scipy(tmp_path):
+    # a None entry in sys.modules makes every import of that name raise ImportError;
+    # with both blocked, every bundled config builds, and the CLI runs, writes its
+    # files and self-checks without loading either
+    case1 = json.loads(pn.bundled_config_path("case1.cfg").read_text())
+    case1["scenario"]["duration"] = 2.0
+    short = _write(tmp_path, case1, "case1_2s.cfg")
+    runs = [["--config", "table1.cfg"], ["--config", str(short)],
+            ["--config", "table1.cfg", "--seed-check"]]
     code = ("import sys\n"
             "sys.modules['numpy'] = sys.modules['scipy'] = None\n"
             "import passivenet as pn\n"
@@ -228,12 +213,20 @@ def test_runtime_needs_neither_numpy_nor_scipy():
             "for name in pn.bundled_config_names():\n"
             "    cfg = pn.parse_config_file(pn.bundled_config_path(name))\n"
             "    pn.build(cfg.topology, cfg.scenario)\n"
-            "sys.exit(main(['--config', 'table1.cfg', '--seed-check']))\n")
+            f"for args in {runs!r}:\n"
+            f"    assert main(args + ['--out', {str(tmp_path)!r}]) == 0, args\n"
+            "loaded = sorted(m for m, mod in sys.modules.items()\n"
+            "                if mod is not None and m.split('.')[0] in ('numpy', 'scipy'))\n"
+            "assert not loaded, loaded\n")
     src = Path(pn.__file__).resolve().parent.parent
     run = subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
     lines = run.stdout.splitlines()
-    assert len(lines) == 8 and lines == [f"[seed-check] {name}: ok" for name, _ in selfcheck.CHECKS]
+    assert len(lines) == 3 + 3 + 8  # two runs of three lines each, then the seed check
+    assert lines[6:] == [f"[seed-check] {name}: ok" for name, _ in selfcheck.CHECKS]
+    for name in ("table1_trace.csv", "table1_summary.txt", "case1_trace.csv", "case1_summary.txt"):
+        assert (tmp_path / name).stat().st_size > 0
+    assert len((tmp_path / "case1_trace.csv").read_text().splitlines()) == 2001  # header + 2 s
 
 
 def test_seed_check_reports_a_failing_check(monkeypatch, capsys):

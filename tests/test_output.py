@@ -128,18 +128,11 @@ def test_writer_matches_the_row_wise_reference(tmp_path, bundled_runs):
             assert path.read_bytes() == _row_wise_reference(trace, decimation), (name, decimation)
 
 
-def test_columns_name_the_trace_file(tmp_path, bundled_runs):
-    path = tmp_path / "t.csv"
+def test_columns_name_the_trace_file(bundled_runs):
+    # test_writer_matches_the_row_wise_reference checks each bundled file's bytes,
+    # header included, against the columns; the benchmark harness iterates
+    # records, so they must match the columns too
     for name, (_cfg, trace, _m) in bundled_runs.items():
-        pn.write_trace(trace, path)
-        header, *lines = path.read_text().splitlines()
-        names = header.split(",")
-        assert names[0] == "n" and list(trace.columns) == names[1:], name
-        cells = list(zip(*(line.split(",") for line in lines)))
-        for col, written in zip(names[1:], cells[1:]):
-            got = [v.hex() for v in trace.column(col)]
-            assert got == [float(c).hex() for c in written], (name, col)
-        # the benchmark harness iterates records; they must match the columns
         records = list(trace.records)
         assert all(type(r) is pn.StepRecord for r in records), name
         assert [r.n for r in records] == list(range(len(trace))), name

@@ -60,10 +60,11 @@ def test_stabilizer_off_equivalence():
     scen = pn.Scenario(kind="impulse", duration=0.3, dt=0.001)
     trace, _ = pn.build(topo, scen).run()
     assert len(trace) > 0
+    zeros = bytes(8 * len(trace))  # +0.0 only: -0.0 would be written as "-0.0"
     for i in range(1, trace.num_nodes + 1):
-        assert trace.column(f"uhat{i}") == trace.column(f"u{i}")
-        assert all(a == 0.0 for a in trace.column(f"alpha{i}"))
-        assert all(d == 0.0 for d in trace.column(f"D{i}"))
+        assert trace.column(f"uhat{i}").tobytes() == trace.column(f"u{i}").tobytes()
+        assert trace.column(f"alpha{i}").tobytes() == zeros
+        assert trace.column(f"D{i}").tobytes() == zeros
 
 
 def test_determinism_bitwise():
@@ -72,44 +73,6 @@ def test_determinism_bitwise():
     t2, m2 = pn.build(table1_topology(), scen).run()
     assert t1.num_nodes == t2.num_nodes and t1.data == t2.data
     assert m1 == m2
-
-
-def test_system_level_share_law():
-    # broadcast output makes every S_i equal, so D_i * q_i agree cumulatively
-    q = (1.0, 1e-4, 1.0)
-    topo = table1_topology(weights=pn.WeightMatrix(q))
-    scen = pn.Scenario(kind="dual-sine", duration=3.0, dt=0.001, amplitude=20.0)
-    trace, metrics = pn.build(topo, scen).run()
-    assert metrics.total_injected > 0.0
-    for dissipated in per_node(trace, "D"):
-        prods = [d * qi for d, qi in zip(dissipated, q)]
-        ref = max(abs(p) for p in prods)
-        if ref == 0.0:
-            continue
-        assert max(prods) - min(prods) <= 1e-9 * ref
-
-
-def _resummed_e_hat(trace):
-    total = 0.0
-    out = []
-    m = trace.num_nodes
-    for y, u_hat in zip(trace.column("y"), per_node(trace, "uhat")):
-        y_vec = np.full(m, y)
-        total += trace.dt * (
-            trace.xi * y * y + float(np.dot(np.asarray(u_hat), y_vec))
-        )
-        out.append(total)
-    return out
-
-
-@pytest.mark.parametrize("stabilizer", [True, False])
-def test_energy_audit_resummation(stabilizer):
-    topo = table1_topology(stabilizer_enabled=stabilizer)
-    scen = pn.Scenario(kind="impulse", duration=2.0, dt=0.001)
-    trace, _ = pn.build(topo, scen).run()
-    resummed = _resummed_e_hat(trace)
-    for e_hat, want in zip(trace.column("E_hat"), resummed):
-        assert e_hat == pytest.approx(want, abs=1e-9)
 
 
 def test_unstabilized_run_diverges_and_stops_early():
@@ -162,14 +125,7 @@ def _numpy_scalar_inputs():
     return topo, pn.Scenario(kind="dual-sine", duration=f(1.0), dt=f(0.001), amplitude=f(20.0))
 
 
-def _bundled_second(name):
-    cfg = pn.parse_config_file(pn.bundled_config_path(name))
-    return cfg.topology, dataclasses.replace(cfg.scenario, duration=1.0)
-
-
 RECORD_RUNS = {
-    "table1": lambda: _bundled_second("table1.cfg"),
-    "table1_nostab": lambda: _bundled_second("table1_nostab.cfg"),
     "sixty_four_nodes": lambda: (
         driven_topology(),
         pn.Scenario(kind="dual-sine", duration=1.0, dt=0.001, amplitude=20.0),
@@ -269,9 +225,16 @@ def test_sample_period_outside_zero_to_inf_is_rejected(user, bad):
 
 
 def test_ledger_credit_and_line_length_must_be_finite():
+    hub = pn.make_hub_admittance(TABLE1_HUB, 0.001)
     for xi in (math.nan, math.inf, -1.0):
-        with pytest.raises(pn.SimulationFault, match="passivity index"):
+        with pytest.raises(pn.ConfigurationError, match="passivity index"):
             pn.EnergyLedger(0.001, xi, 3)
+        with pytest.raises(pn.ConfigurationError, match="passivity index"):
+            HoldLedger(xi, hub)
+        with pytest.raises(pn.ConfigurationError, match="passivity index"):
+            table1_topology(xi=xi)
+    with pytest.raises(pn.ConfigurationError, match="at least one port"):
+        pn.EnergyLedger(0.001, 1.0, 0)
     for max_delay in (math.inf, math.nan, -0.1):
         with pytest.raises(pn.ConfigurationError, match="maximum delay"):
             pn.DelayLine(max_delay, 0.001)
