@@ -96,6 +96,20 @@ def test_scenario_override_equals_edited_file(tmp_path):
     ).read_bytes()
 
 
+def test_stabilizer_off_trace_columns_match(tmp_path):
+    cfg = _write(tmp_path, _short_doc(stabilizer=False, duration=0.3))
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    lines = (tmp_path / "out" / "trace.csv").read_text().splitlines()
+    header = lines[0].split(",")
+    for row in lines[1:]:
+        cells = row.split(",")
+        for i in range(1, 4):
+            u = cells[header.index(f"u{i}")]
+            uhat = cells[header.index(f"uhat{i}")]
+            assert u == uhat
+            assert cells[header.index(f"alpha{i}")] == "0.0"
+
+
 def test_decimation_row_count(tmp_path):
     doc = _short_doc(duration=1.0)
     doc["output"]["decimation"] = 7
@@ -197,15 +211,15 @@ def test_unwritable_output_is_reported(tmp_path, capsys):
     assert capsys.readouterr().err
 
 
-def test_runtime_needs_neither_numpy_nor_scipy(tmp_path):
-    # a None entry in sys.modules makes every import of that name raise ImportError;
-    # with both blocked, every bundled config builds, and the CLI runs, writes its
-    # files and self-checks without loading either
-    case1 = json.loads(pn.bundled_config_path("case1.cfg").read_text())
-    case1["scenario"]["duration"] = 2.0
-    short = _write(tmp_path, case1, "case1_2s.cfg")
-    runs = [["--config", "table1.cfg"], ["--config", str(short)],
-            ["--config", "table1.cfg", "--seed-check"]]
+def test_seed_check_passes(capsys):
+    rc = main(["--config", "table1.cfg", "--seed-check"])
+    assert rc == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [f"[seed-check] {name}: ok" for name, _ in selfcheck.CHECKS]
+
+
+def test_runtime_needs_neither_numpy_nor_scipy():
+    # a None entry in sys.modules makes every import of that name raise ImportError
     code = ("import sys\n"
             "sys.modules['numpy'] = sys.modules['scipy'] = None\n"
             "import passivenet as pn\n"
@@ -213,20 +227,12 @@ def test_runtime_needs_neither_numpy_nor_scipy(tmp_path):
             "for name in pn.bundled_config_names():\n"
             "    cfg = pn.parse_config_file(pn.bundled_config_path(name))\n"
             "    pn.build(cfg.topology, cfg.scenario)\n"
-            f"for args in {runs!r}:\n"
-            f"    assert main(args + ['--out', {str(tmp_path)!r}]) == 0, args\n"
-            "loaded = sorted(m for m, mod in sys.modules.items()\n"
-            "                if mod is not None and m.split('.')[0] in ('numpy', 'scipy'))\n"
-            "assert not loaded, loaded\n")
+            "sys.exit(main(['--config', 'table1.cfg', '--seed-check']))\n")
     src = Path(pn.__file__).resolve().parent.parent
     run = subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
     lines = run.stdout.splitlines()
-    assert len(lines) == 3 + 3 + 8  # two runs of three lines each, then the seed check
-    assert lines[6:] == [f"[seed-check] {name}: ok" for name, _ in selfcheck.CHECKS]
-    for name in ("table1_trace.csv", "table1_summary.txt", "case1_trace.csv", "case1_summary.txt"):
-        assert (tmp_path / name).stat().st_size > 0
-    assert len((tmp_path / "case1_trace.csv").read_text().splitlines()) == 2001  # header + 2 s
+    assert len(lines) == 8 and lines == [f"[seed-check] {name}: ok" for name, _ in selfcheck.CHECKS]
 
 
 def test_seed_check_reports_a_failing_check(monkeypatch, capsys):

@@ -1,7 +1,12 @@
+import json
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from operator import mul
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -253,6 +258,43 @@ def test_overflowing_realization_is_rejected():
         pn.make_hub_admittance(pn.ContinuousTF((1.0,), (1.0, -2e5)), 0.01)
     with pytest.raises(pn.ConfigurationError, match="not finite"):
         pn.make_hub_admittance(pn.ContinuousTF((1e300,), (1e-300, 1.0)), 0.01)
+
+
+def _run_python(code, **env):
+    """Run ``code`` in a fresh interpreter that imports this checkout's package."""
+    src = str(Path(pn.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path, **env)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_building_a_run_leaves_scipy_unloaded(tmp_path):
+    # numpy and scipy are test-only dependencies: with numpy blocked, the CLI
+    # runs, writes its files and self-checks, and loads neither
+    case1 = json.loads(pn.bundled_config_path("case1.cfg").read_text())
+    case1["scenario"]["duration"] = 2.0
+    short = tmp_path / "case1_2s.cfg"
+    short.write_text(json.dumps(case1))
+    runs = [
+        ["--config", "table1.cfg"],
+        ["--config", str(short)],
+        ["--config", "table1.cfg", "--seed-check"],
+    ]
+    _run_python(
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from passivenet.cli import main\n"
+        f"for args in {runs!r}:\n"
+        f"    assert main(args + ['--out', {str(tmp_path)!r}]) == 0, args\n"
+        "loaded = sorted(m for m, mod in sys.modules.items()\n"
+        "                if mod is not None and m.split('.')[0] in ('numpy', 'scipy'))\n"
+        "assert not loaded, loaded\n"
+    )
+    for name in ("table1_trace.csv", "table1_summary.txt", "case1_trace.csv", "case1_summary.txt"):
+        assert (tmp_path / name).stat().st_size > 0
+    assert len((tmp_path / "case1_trace.csv").read_text().splitlines()) == 2001  # header + 2 s
 
 
 def test_hub_requires_strictly_proper():

@@ -75,6 +75,21 @@ def test_determinism_bitwise():
     assert m1 == m2
 
 
+def test_system_level_share_law():
+    # broadcast output makes every S_i equal, so D_i * q_i agree cumulatively
+    q = (1.0, 1e-4, 1.0)
+    topo = table1_topology(weights=pn.WeightMatrix(q))
+    scen = pn.Scenario(kind="dual-sine", duration=3.0, dt=0.001, amplitude=20.0)
+    trace, metrics = pn.build(topo, scen).run()
+    assert metrics.total_injected > 0.0
+    for dissipated in per_node(trace, "D"):
+        prods = [d * qi for d, qi in zip(dissipated, q)]
+        ref = max(abs(p) for p in prods)
+        if ref == 0.0:
+            continue
+        assert max(prods) - min(prods) <= 1e-9 * ref
+
+
 def test_unstabilized_run_diverges_and_stops_early():
     topo = table1_topology(stabilizer_enabled=False)
     scen = pn.Scenario(kind="impulse", duration=20.0, dt=0.001)
