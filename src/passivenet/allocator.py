@@ -5,9 +5,10 @@ When the observable energy goes negative the allocator solves
     min_A  (1/2) A' Q A   subject to   A' S = -E_obs / dt
 
 for the per-port damping gains A, with Q a positive diagonal penalty and
-S the per-port squared outputs.  The closed form is the weighted
-pseudoinverse direction A = Q^{-1} S (S' Q^{-1} S)^{-1} (-E_obs/dt),
-computed elementwise in floats as S_i/q_i, so Q^{-1} is never formed.
+S the per-port squared outputs (one number y^2 where every port sees the
+one hub output y).  The closed form is the weighted pseudoinverse direction
+A = Q^{-1} S (S' Q^{-1} S)^{-1} (-E_obs/dt), computed elementwise in
+floats as S_i/q_i, so Q^{-1} is never formed.
 The equality constraint makes the controlled energy land exactly on zero;
 positive observable energy yields A = 0.
 """
@@ -61,6 +62,8 @@ class AllocationResult(NamedTuple):
 def allocate(e_obs: float, squared_outputs, weights: WeightMatrix, dt: float) -> AllocationResult:
     """Compute the per-port damping gain vector for one step.
 
+    ``squared_outputs`` is S as M numbers, or one builtin float s for S_i = s at every
+    port, checked once and then the vector (s,) * M, so the gains are the vector's bits.
     With Q diagonal and S >= 0 every term of S' Q^{-1} S is nonnegative, so
     the sum cancels nothing and needs no conditioning threshold: a deficit
     fires whenever S' Q^{-1} S > 0 and defers (gains stay zero, the deficit
@@ -74,21 +77,24 @@ def allocate(e_obs: float, squared_outputs, weights: WeightMatrix, dt: float) ->
         raise SimulationFault(f"non-finite observable energy: {e_obs!r}")
     inverse = weights.inverse
     dt, e_obs, m = float(dt), float(e_obs), len(inverse)
-    try:  # a flat sequence of numbers; a scalar, a string or a nested one raises TypeError
-        s = tuple(squared_outputs)
-        finite = all(map(math.isfinite, s))
-    except TypeError:
-        finite = None
-    if finite is None or len(s) != m:
-        raise SimulationFault(
-            f"squared-output vector must be a flat sequence of {m} numbers, "
-            f"got {squared_outputs!r}"
-        )
-    if not finite:
-        raise SimulationFault(f"non-finite squared-output vector: {list(s)!r}")
-    s = tuple(map(float, s))  # builtin floats, so the gains are too
-    if min(s) < 0.0:
-        raise SimulationFault("squared-output vector has a negative entry")
+    if type(squared_outputs) is float and 0.0 <= squared_outputs < math.inf:
+        s = (squared_outputs,) * m  # S_i = s at every port: one number, checked once
+    else:  # a sequence, or a refused float S, checked as the vector [S] * M it stands for
+        try:  # a flat sequence of numbers; a scalar, a string or a nested one raises TypeError
+            s = (squared_outputs,) * m if type(squared_outputs) is float else tuple(squared_outputs)
+            finite = all(map(math.isfinite, s))
+        except TypeError:
+            finite = None
+        if finite is None or len(s) != m:
+            raise SimulationFault(
+                f"squared-output vector must be a flat sequence of {m} numbers, "
+                f"got {squared_outputs!r}"
+            )
+        if not finite:
+            raise SimulationFault(f"non-finite squared-output vector: {list(s)!r}")
+        s = tuple(map(float, s))  # builtin floats, so the gains are too
+        if min(s) < 0.0:
+            raise SimulationFault("squared-output vector has a negative entry")
 
     if e_obs < 0.0:
         s_over_q = list(map(mul, s, inverse))

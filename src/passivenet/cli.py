@@ -81,8 +81,10 @@ def main(argv=None) -> int:
 
         trace_path = Path(args.out) / cfg.trace_path
         summary_path = Path(args.out) / cfg.summary_path
-        for path in (trace_path, summary_path):
+        for path in (trace_path, summary_path):  # both checked before either is written
             path.parent.mkdir(parents=True, exist_ok=True)
+            if path.is_dir():
+                raise ConfigurationError(f"output file {str(path)!r} is a directory")
         write_trace(trace, trace_path, cfg.decimation)
         write_summary(metrics, summary_path)
     except (ConfigurationError, SimulationFault, OSError) as exc:

@@ -135,7 +135,9 @@ class HoldLedger:
         must stay >= 0.  The answer is the force nearest ``floor`` that
         achieves this or, when none does, the one that comes closest; where
         that is the limit of one side at the cut between landing sides, which
-        the side never attains, the answer is the cut itself.
+        the side never attains, the answer is the cut itself.  The first piece starts at
+        s0 = floor + direction*0.0 and holds ``here`` or ``both``; where each is >= 0 at s0,
+        s0 is the answer, returned before the look-ahead's landing sides are formed.
         """
         hub, nu, dt = self.hub, self.credit, self.dt
         gam, kap, car = hub.hold_travel, hub.hold_velocity, hub.hold_carry
@@ -143,15 +145,20 @@ class HoldLedger:
         p0 = hub.travel + gam * u_ext
         here = (self._here_square, p0 * self._here_scale, self.energy + nu * p0 * p0 / dt)
         direction = 1.0 if hub.velocity > 0.0 else -1.0
-        if raw == 0.0:
-            pieces = [(0.0, math.inf, here)]
-        else:
+        if raw != 0.0:
             next_velocity, next_travel = hub.next_sample()
             # exact work of ``raw`` held over the next sample, same variable
             q0 = next_travel + car * u_ext + gam * (u_ext_next - raw)
             both = (self._both_square,
                     here[1] - car * (2.0 * nu * q0 / dt + raw),
                     here[2] + nu * q0 * q0 / dt + raw * q0)
+        s0 = floor + direction * 0.0  # the floor shortcut: see the docstring
+        if (here[0] * s0 + here[1]) * s0 + here[2] >= 0.0 and (
+                raw == 0.0 or (both[0] * s0 + both[1]) * s0 + both[2] >= 0.0):
+            return s0
+        if raw == 0.0:
+            pieces = [(0.0, math.inf, here)]
+        else:
             # the hub lands on raw's side where side*y' > -margin, with
             # side*y'(floor + direction*t) = lead - slope*t
             side = 1.0 if raw > 0.0 else -1.0

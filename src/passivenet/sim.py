@@ -12,7 +12,7 @@ Per-step pipeline (one sample period, no feedthrough anywhere):
 4. observer ingest of y and the summed raw feedback -> observable energy E_obs[n]
 5. hold ledger -> the energy to cancel: E_obs[n], or more where the exact
    held-force energy needs it (see :class:`passivenet.observer.HoldLedger`)
-6. allocator -> damping gains A[n] for that energy
+6. allocator -> damping gains A[n] for that energy, from the one number y^2 as S
 7. u_hat_i = u_i + alpha_i * y
 8. the step's one finiteness check, on E_obs and the hub force (inputs are
    validated where they enter, so only overflow in the loop can trip it)
@@ -272,7 +272,7 @@ class Simulation:
         e_obs = self.ledger.ingest_step(y, raw)
         if self.stabilizer_enabled:
             target = self.hold_ledger.target(raw, e_obs, u_ext, self._next_input)
-            gains = allocate(target, [y * y] * self.num_nodes, self.weights, dt).gains
+            gains = allocate(target, y * y, self.weights, dt).gains
             u_hat = [ui + a * y for ui, a in zip(u, gains)]
             net = fold(u_hat)
         else:

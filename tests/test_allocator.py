@@ -106,3 +106,43 @@ def test_identity_weight_gives_pseudoinverse_direction():
         a = np.asarray(res.gains)
         cross = np.outer(a, s) - np.outer(s, a)
         assert float(np.max(np.abs(cross))) <= 1e-12 * max(1.0, float(np.max(a)) * float(np.max(s)))
+
+
+def _outcome(e_obs, s, q, dt):
+    """allocate's result as bits, or the message of the SimulationFault it raised."""
+    try:
+        res = allocate(e_obs, s, q, dt)
+    except pn.SimulationFault as exc:
+        return str(exc)
+    return ([g.hex() for g in res.gains], res.fired, res.squared_outputs,
+            res.energy_rate.hex(), res.constraint_residual.hex())
+
+
+def test_broadcast_intake_equals_the_vector_bit_for_bit():
+    rng = random.Random(41)
+    seen = {"fired": 0, "deferred": 0, "surplus": 0, "overflow": 0}
+    for k in range(420):
+        e_obs, s, q, dt = random_allocation(rng)
+        e_obs = -e_obs if k % 7 == 0 else e_obs  # a surplus as well as deficits
+        # the draw's first S on even k; else 0 and -0.0, and an S whose S^2/q underflows,
+        # defer, 1e200 overflows S'Q^-1 S, and a small S
+        s = [s[0], 0.0, -0.0, 1e-200, 1e200, rng.uniform(0.0, 1e-3)][(k // 2) % 6 if k % 2 else 0]
+        broadcast = _outcome(e_obs, s, q, dt)
+        assert broadcast == _outcome(e_obs, [s] * len(q), q, dt), (e_obs, s, q, dt)
+        if isinstance(broadcast, str):
+            assert broadcast.startswith("S'Q^-1 S overflows float range"), broadcast
+            seen["overflow"] += 1
+        else:
+            seen["fired" if broadcast[1] else "deferred" if e_obs < 0.0 else "surplus"] += 1
+    assert seen["fired"] > 200 and min(seen.values()) > 10, seen
+
+
+@pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf, -1.0, -5e-324])
+def test_broadcast_intake_refuses_what_the_vector_refuses(s):
+    q = pn.WeightMatrix((1.0, 2.0))
+    for e_obs in (-1.0, 1.0):
+        with pytest.raises(pn.SimulationFault) as broadcast:
+            allocate(e_obs, s, q, 1e-3)
+        with pytest.raises(pn.SimulationFault) as vector:
+            allocate(e_obs, [s, s], q, 1e-3)
+        assert str(broadcast.value) == str(vector.value)

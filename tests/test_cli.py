@@ -209,6 +209,16 @@ def test_unwritable_output_is_reported(tmp_path, capsys):
     rc = main(["--config", str(cfg), "--out", str(blocker)])
     assert rc != 0
     assert capsys.readouterr().err
+    # an output file name that is an existing directory: the run writes neither file
+    for key in ("summary", "trace"):
+        doc = _short_doc(duration=0.05)
+        doc["output"][key] = "sub"
+        out = tmp_path / f"out_{key}"
+        (out / "sub").mkdir(parents=True)
+        rc = main(["--config", str(_write(tmp_path, doc)), "--out", str(out)])
+        assert rc == 2
+        assert "is a directory" in capsys.readouterr().err
+        assert [p.name for p in out.iterdir()] == ["sub"] and not any((out / "sub").iterdir())
 
 
 def test_seed_check_passes(capsys):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import passivenet as pn
+from passivenet import observer
 from passivenet.errors import fold
 from passivenet.observer import HoldLedger, _reach
 from passivenet.selfcheck import shipped
@@ -181,6 +182,22 @@ def test_target_prices_the_held_force_where_the_hold_binds():
     assert (held - floor) * y > 0.0
     target = ledger.target(raw, e_obs, u_ext, u_ext_next)
     assert target == -(held - raw) * y * dt < e_obs < 0.0
+
+
+@pytest.mark.parametrize("name, solves", [
+    ("table1.cfg", False), ("passive_baseline.cfg", False), ("case1.cfg", True),
+])
+def test_the_look_ahead_is_solved_only_where_the_floor_fails(name, solves, monkeypatch):
+    # where the rectangular floor holds on every step, required_force returns it before
+    # the look-ahead, so _reach is never called; case1's hold ledger binds from 2.66 s on
+    required, reached, solve = [], [], HoldLedger.required_force
+    monkeypatch.setattr(HoldLedger, "required_force",
+                        lambda self, *args: required.append(args) or solve(self, *args))
+    monkeypatch.setattr(observer, "_reach", lambda *args: reached.append(args) or _reach(*args))
+    cfg = shipped(name)
+    _, metrics = pn.build(cfg.topology, dataclasses.replace(cfg.scenario, duration=3.0)).run()
+    assert metrics.steps == 3000 and len(required) > 2900
+    assert (len(reached) > 0) == solves
 
 
 def test_first_nonnegative_root_where_the_discriminant_underflows():
