@@ -9,8 +9,8 @@ S the per-port squared outputs (one number y^2 where every port sees the
 one hub output y).  The closed form is the weighted pseudoinverse direction
 A = Q^{-1} S (S' Q^{-1} S)^{-1} (-E_obs/dt), computed elementwise in
 floats as S_i/q_i, so Q^{-1} is never formed.
-The equality constraint makes the controlled energy land exactly on zero;
-positive observable energy yields A = 0.
+The equality constraint (its residual: :func:`constraint_residual`) makes the
+controlled energy land exactly on zero; positive observable energy yields A = 0.
 """
 
 from __future__ import annotations
@@ -45,18 +45,15 @@ class WeightMatrix:
 
 
 class AllocationResult(NamedTuple):
-    """Damping gains A, whether the deficit branch fired, and the S and E_obs/dt
-    from which ``constraint_residual`` forms A'S + E_obs/dt when it is read."""
+    """Damping gains A, which the step reads, and whether the deficit branch fired."""
 
     gains: tuple[float, ...]
     fired: bool
-    squared_outputs: tuple[float, ...]
-    energy_rate: float  # E_obs/dt
 
-    @property
-    def constraint_residual(self) -> float:
-        """A'S + E_obs/dt, its dot product exactly rounded; formed on each read."""
-        return math.fsum(map(mul, self.gains, self.squared_outputs)) + self.energy_rate
+
+def constraint_residual(gains, squared_outputs, e_obs: float, dt: float) -> float:
+    """A'S + E_obs/dt, the equality constraint's residual, its dot product exactly rounded."""
+    return math.fsum(map(mul, gains, squared_outputs)) + e_obs / dt
 
 
 def allocate(e_obs: float, squared_outputs, weights: WeightMatrix, dt: float) -> AllocationResult:
@@ -110,5 +107,5 @@ def allocate(e_obs: float, squared_outputs, weights: WeightMatrix, dt: float) ->
             if not math.isfinite(max(gains)):  # an inf gain, and a NaN only beside one
                 raise SimulationFault(f"gains overflow float range: lambda = {lam!r} "
                                       f"for E_obs = {e_obs!r}, S'Q^-1 S = {denom!r}")
-            return AllocationResult(gains, True, s, e_obs / dt)
-    return AllocationResult((0.0,) * m, False, s, e_obs / dt)
+            return AllocationResult(gains, True)
+    return AllocationResult((0.0,) * m, False)

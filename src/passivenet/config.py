@@ -84,8 +84,9 @@ def _optional(read):
 
 
 def _text(value, where: str) -> str:
-    if not isinstance(value, str) or not value:
-        raise ConfigurationError(f"{where} must be a non-empty string, got {value!r:.40}")
+    if not isinstance(value, str) or not value or "\0" in value:  # a NUL byte is no file name
+        raise ConfigurationError(f"{where} must be a non-empty string without NUL bytes, "
+                                 f"got {value!r:.40}")
     return value
 
 

@@ -48,9 +48,9 @@ SCENARIO_KINDS = ("impulse", "dual-sine", "external")
 class Topology:
     """Hub plus M remote nodes, their round-trip delay laws, and control knobs.
 
-    ``xi`` is the hub passivity-index credit used by the observer; None means
-    the certified bound :func:`passivenet.lti.estimate_osp_index` of the hub
-    model, taken at build.  The hold ledger credits that bound, whatever ``xi`` says.
+    ``xi`` is the hub passivity-index credit of the observer and the trace; None means
+    nu, the hub's index as :func:`passivenet.lti.estimate_osp_index` certifies it once at
+    build.  The hold ledger credits nu: 0.0 for an unstable hub, which ``xi`` None refuses.
     ``inertia_filter_cutoff`` bandlimits each node's inertial force path
     (required for a well-posed sampled interconnection; None disables).
     ``command_filter_cutoff`` smooths the delayed velocity command each node
@@ -221,7 +221,13 @@ class Simulation:
         self.dt = dt = scenario.dt  # these four are read on every step, so set once here
         self.stabilizer_enabled, self.weights = topology.stabilizer_enabled, topology.weights
         self.num_nodes = topology.num_nodes
-        self.xi = topology.xi if topology.xi is not None else estimate_osp_index(topology.hub)
+        try:  # nu, the hub's certified index; an unstable hub guarantees no capacity, so 0
+            nu = estimate_osp_index(topology.hub)
+        except ConfigurationError:
+            if topology.xi is None:
+                raise
+            nu = 0.0
+        self.xi = nu if topology.xi is None else topology.xi
         self.hub = make_hub_admittance(topology.hub, dt)
         legs = [delay.halved() for delay in topology.delays]
         self.frequencies, terms = sine_terms(legs)  # one sine a step per distinct frequency
@@ -237,9 +243,7 @@ class Simulation:
             self.ports.append((*term, DelayLine(length, dt).push_and_sample, node.step,
                                DelayLine(length, dt).push_and_sample))
         self.ledger = EnergyLedger(dt, self.xi, topology.num_nodes)
-        self.hold_ledger = HoldLedger(
-            self.xi if topology.xi is None else _hold_credit(topology.hub), self.hub
-        )
+        self.hold_ledger = HoldLedger(nu, self.hub)
         self._next_input = scenario.input_at(0)
         self.num_steps = scenario.num_steps
         self.n = 0
@@ -327,14 +331,6 @@ def summarize(trace: Trace, diverged: bool) -> SummaryMetrics:
         total_injected=total,
         steps=len(trace),
     )
-
-
-def _hold_credit(hub: ContinuousTF) -> float:
-    """The hub's certified passivity index, or 0 for an unstable hub."""
-    try:
-        return estimate_osp_index(hub)
-    except ConfigurationError:  # an unstable hub guarantees no passive capacity
-        return 0.0
 
 
 def build(topology: Topology, scenario: Scenario) -> Simulation:

@@ -219,6 +219,16 @@ def test_unwritable_output_is_reported(tmp_path, capsys):
         assert rc == 2
         assert "is a directory" in capsys.readouterr().err
         assert [p.name for p in out.iterdir()] == ["sub"] and not any((out / "sub").iterdir())
+    # a NUL byte in an output file name is refused as the config is read: nothing is written
+    for key in ("summary", "trace"):
+        doc = _short_doc(duration=0.05)
+        doc["output"][key] = "a\0b"
+        out = tmp_path / f"nul_{key}"
+        out.mkdir()
+        rc = main(["--config", str(_write(tmp_path, doc)), "--out", str(out)])
+        assert rc == 2
+        assert f"output.{key} must be" in capsys.readouterr().err
+        assert not any(out.iterdir())
 
 
 def test_seed_check_passes(capsys):

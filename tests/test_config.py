@@ -147,6 +147,8 @@ def test_wrong_types_are_named_errors():
         ("output", "trace", None),
         ("output", "summary", 5),
         ("output", "trace", ""),
+        ("output", "trace", "a\0b"),  # a NUL byte names no file
+        ("output", "summary", "a\0b"),
     ):
         doc = _table1_doc()
         section = doc

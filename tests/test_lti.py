@@ -441,10 +441,31 @@ def test_osp_index_finds_a_dip_between_decades():
     assert 5.0 - 1e-9 <= pn.estimate_osp_index(RESONANT_HUB) <= 5.0000034
 
 
-def test_a_build_credits_both_ledgers_with_the_certified_index():
-    topo = table1_topology(hub=RESONANT_HUB, xi=None)
-    sim = pn.build(topo, pn.Scenario(kind="impulse", duration=0.01, dt=0.001))
-    assert sim.xi <= 5.0 and sim.hold_ledger.credit <= 5.0
+UNSTABLE_HUB = pn.ContinuousTF((1.0,), (1.0, -1.0))
+
+
+@pytest.mark.parametrize("hub, xi", [
+    (RESONANT_HUB, 12.0), (RESONANT_HUB, None), (UNSTABLE_HUB, 0.0), (UNSTABLE_HUB, None),
+], ids=["stable-xi", "stable-null", "unstable-xi", "unstable-null"])
+def test_a_build_credits_both_ledgers_with_the_certified_index(monkeypatch, hub, xi):
+    # the observer and the trace credit xi, or the certified index nu where xi is null; the
+    # hold ledger credits nu, 0.0 for an unstable hub, which xi null refuses; one nu a build
+    calls = []
+    monkeypatch.setattr("passivenet.sim.estimate_osp_index",
+                        lambda tf: calls.append(tf) or pn.estimate_osp_index(tf))
+    topo = table1_topology(hub=hub, xi=xi)
+    scenario = pn.Scenario(kind="impulse", duration=0.01, dt=0.001)
+    if hub is UNSTABLE_HUB and xi is None:
+        with pytest.raises(pn.ConfigurationError,
+                           match="passivity index is undefined for an unstable model"):
+            pn.build(topo, scenario)
+    else:
+        sim = pn.build(topo, scenario)
+        nu = pn.estimate_osp_index(hub) if hub is RESONANT_HUB else 0.0
+        assert nu <= 5.0
+        assert sim.xi == sim.ledger.xi == sim.trace.xi == (nu if xi is None else xi)
+        assert sim.hold_ledger.credit == nu
+    assert calls == [hub]
 
 
 def test_osp_index_is_exact_where_the_infimum_is_a_limit():
