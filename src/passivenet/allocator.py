@@ -23,12 +23,20 @@ from typing import NamedTuple
 from .errors import ConfigurationError, SimulationFault, check_positive_finite
 
 
+class AllocationResult(NamedTuple):
+    """Damping gains A, which the step reads, and whether the deficit branch fired."""
+
+    gains: tuple[float, ...]
+    fired: bool
+
+
 @dataclass(frozen=True)
 class WeightMatrix:
     """Diagonal of the symmetric positive definite penalty matrix Q."""
 
     diagonal: tuple[float, ...]
     inverse: tuple[float, ...] = field(init=False, repr=False, compare=False)  # 1/q_i
+    idle: AllocationResult = field(init=False, repr=False, compare=False)  # gains +0.0, unfired
 
     def __post_init__(self):
         if len(self.diagonal) == 0:
@@ -39,16 +47,10 @@ class WeightMatrix:
         inverse = tuple(check_positive_finite(1.0 / q, "inverse weight 1/q") for q in diagonal)
         object.__setattr__(self, "diagonal", diagonal)  # builtin floats, as the gains are
         object.__setattr__(self, "inverse", inverse)
+        object.__setattr__(self, "idle", AllocationResult((0.0,) * len(diagonal), False))
 
     def __len__(self) -> int:
         return len(self.diagonal)
-
-
-class AllocationResult(NamedTuple):
-    """Damping gains A, which the step reads, and whether the deficit branch fired."""
-
-    gains: tuple[float, ...]
-    fired: bool
 
 
 def constraint_residual(gains, squared_outputs, e_obs: float, dt: float) -> float:
@@ -67,6 +69,7 @@ def allocate(e_obs: float, squared_outputs, weights: WeightMatrix, dt: float) ->
     rides forward in the ledger) only when it is 0, that is S = 0 or every
     S_i^2/q_i underflows.  An S' Q^{-1} S past float range, or a gain that is
     not finite (lambda = (-E_obs/dt)/(S' Q^{-1} S) overflows), is a SimulationFault.
+    Every result that does not fire is ``weights.idle``, built once with the weights.
     """
     if not 0.0 < dt < math.inf:  # errors.check_positive_finite, inline on the step path
         raise ConfigurationError(f"sample period must be positive and finite, got {dt!r}")
@@ -75,6 +78,8 @@ def allocate(e_obs: float, squared_outputs, weights: WeightMatrix, dt: float) ->
     inverse = weights.inverse
     dt, e_obs, m = float(dt), float(e_obs), len(inverse)
     if type(squared_outputs) is float and 0.0 <= squared_outputs < math.inf:
+        if e_obs >= 0.0:
+            return weights.idle
         s = (squared_outputs,) * m  # S_i = s at every port: one number, checked once
     else:  # a sequence, or a refused float S, checked as the vector [S] * M it stands for
         try:  # a flat sequence of numbers; a scalar, a string or a nested one raises TypeError
@@ -108,4 +113,4 @@ def allocate(e_obs: float, squared_outputs, weights: WeightMatrix, dt: float) ->
                 raise SimulationFault(f"gains overflow float range: lambda = {lam!r} "
                                       f"for E_obs = {e_obs!r}, S'Q^-1 S = {denom!r}")
             return AllocationResult(gains, True)
-    return AllocationResult((0.0,) * m, False)
+    return weights.idle

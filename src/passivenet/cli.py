@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -85,8 +86,15 @@ def main(argv=None) -> int:
             path.parent.mkdir(parents=True, exist_ok=True)
             if path.is_dir():
                 raise ConfigurationError(f"output file {str(path)!r} is a directory")
-        write_trace(trace, trace_path, cfg.decimation)
-        write_summary(metrics, summary_path)
+        staged = [(p, p.parent / f".{p.name}.{os.getpid()}") for p in (trace_path, summary_path)]
+        try:  # each file under a temporary name beside its target, renamed once both are written
+            write_trace(trace, staged[0][1], cfg.decimation)
+            write_summary(metrics, staged[1][1])
+            for path, tmp in staged:
+                os.replace(tmp, path)
+        finally:  # so a failed write leaves neither file
+            for _path, tmp in staged:
+                tmp.unlink(missing_ok=True)
     except (ConfigurationError, SimulationFault, OSError) as exc:
         print(f"passivenet: error: {exc}", file=sys.stderr)
         return 2

@@ -21,10 +21,10 @@ def trace_header(num_nodes: int) -> str:
 def write_trace(trace: Trace, path, decimation: int = 1) -> None:
     """Write every ``decimation``-th row of ``trace`` as CSV, a chunk of rows at a time.
 
-    Each chunk is formatted a column at a time.  A column whose bytes equal an
-    earlier column's in the chunk reuses that column's strings (û is u wherever
-    no gain fired), and a column of one repeated value is formatted once.
-    Bytes, not floats, are compared, so 0.0 and -0.0 stay apart.
+    Each chunk is formatted a column at a time; a column of one repeated value is formatted
+    once, and one whose bytes equal an earlier column's reuses its strings.  Bytes, not floats,
+    are compared, so 0.0 and -0.0 stay apart: û is u, bit for bit, wherever no gain fired, as
+    the step passes u through there (u + 0.0*y would turn a resting node's -0.0 into 0.0).
 
     All checks come before the file is opened, so a refused write leaves no file.
     """

@@ -13,7 +13,8 @@ Per-step pipeline (one sample period, no feedthrough anywhere):
 5. hold ledger -> the energy to cancel: E_obs[n], or more where the exact
    held-force energy needs it (see :class:`passivenet.observer.HoldLedger`)
 6. allocator -> damping gains A[n] for that energy, from the one number y^2 as S
-7. u_hat_i = u_i + alpha_i * y
+7. u_hat_i = u_i + alpha_i * y where a gain fired; elsewhere u_hat is u, bit for bit,
+   as u_i + 0.0 * y would turn the -0.0 of a nonpassive node at rest into +0.0
 8. the step's one finiteness check, on E_obs and the hub force (inputs are
    validated where they enter, so only overflow in the loop can trip it)
 9. record the injected dissipation in the ledger
@@ -218,9 +219,8 @@ class Simulation:
     def __init__(self, topology: Topology, scenario: Scenario):
         self.topology = topology
         self.scenario = scenario
-        self.dt = dt = scenario.dt  # these four are read on every step, so set once here
+        self.dt = dt = scenario.dt  # these three are read on every step, so set once here
         self.stabilizer_enabled, self.weights = topology.stabilizer_enabled, topology.weights
-        self.num_nodes = topology.num_nodes
         try:  # nu, the hub's certified index; an unstable hub guarantees no capacity, so 0
             nu = estimate_osp_index(topology.hub)
         except ConfigurationError:
@@ -276,12 +276,14 @@ class Simulation:
         e_obs = self.ledger.ingest_step(y, raw)
         if self.stabilizer_enabled:
             target = self.hold_ledger.target(raw, e_obs, u_ext, self._next_input)
-            gains = allocate(target, y * y, self.weights, dt).gains
+            gains, fired = allocate(target, y * y, self.weights, dt)
+        else:
+            gains, fired = self.weights.idle
+        if fired:
             u_hat = [ui + a * y for ui, a in zip(u, gains)]
             net = fold(u_hat)
-        else:
-            gains = [0.0] * self.num_nodes
-            u_hat, net = u, raw  # bit-exact pass-through, no -0.0 flips in the trace
+        else:  # no gain: û is u and net is raw, bit for bit, so a -0.0 u_i stays -0.0
+            u_hat, net = u, raw
 
         force = u_ext - net
         if not (math.isfinite(e_obs) and math.isfinite(force)):

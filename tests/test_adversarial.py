@@ -1,9 +1,9 @@
 """Short stabilized runs at the edges of the supported configurations.
 
 Extreme weight ratios, a single node, a sample period that does not divide
-the delays, and 64 nodes.  Each run must finish bounded with min E_hat >=
--1e-9, and wherever the stabilizer fired the cumulative dissipation shares
-must follow the 1/q law.
+the delays, 64 nodes, a non-minimum-phase node and delay rates past 1.  Each
+run must finish bounded with min E_hat >= -1e-9, and wherever the stabilizer
+fired the cumulative dissipation shares must follow the 1/q law.
 
 Past those edges, configs whose signals leave float range must be refused
 with a ConfigurationError at build, or run to completion or to a diverged
@@ -60,6 +60,29 @@ def test_sample_period_that_does_not_divide_the_delays(name):
 def test_sixty_four_nodes():
     scen = pn.Scenario(kind="dual-sine", duration=1.0, dt=0.001, amplitude=20.0)
     _run_bounded(driven_topology(), scen)
+
+
+def _non_minimum_phase_node(topo, scen):
+    # node 1 = (10, -5, 400): Z = (10s^2 - 5s + 400)/s has right-half-plane zeros
+    nodes = (pn.ImpedanceTriple(10.0, -5.0, 400.0), *topo.nodes[1:])
+    return replace(topo, nodes=nodes), scen
+
+
+def _fast_delays(topo, scen):
+    # every delay law at 200 rad/s: one-leg rates |d'| up to 3.75, so legs read out of order
+    delays = tuple(replace(d, frequency=200.0) for d in topo.delays)
+    return replace(topo, delays=delays), replace(scen, duration=5.0)
+
+
+@pytest.mark.parametrize("edit, unstabilized_stop", [(_non_minimum_phase_node, 505),
+                                                     (_fast_delays, 479)])
+def test_claims_of_the_abstract_past_the_bundled_nodes_and_delays(edit, unstabilized_stop):
+    """The stabilized loop stays bounded with a non-minimum-phase node, and with delay
+    rates past 1; without the stabilizer each run stops, diverged, at a pinned step."""
+    topo, scen = edit(*_bundled("table1.cfg"))
+    _run_bounded(topo, scen)
+    _trace, metrics = pn.build(replace(topo, stabilizer_enabled=False), scen).run()
+    assert metrics.diverged and metrics.steps == unstabilized_stop
 
 
 def _outcome(topo: pn.Topology, scen: pn.Scenario) -> str:

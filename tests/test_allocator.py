@@ -38,9 +38,18 @@ def test_focused_weighting_closed_form():
 
 
 def test_zero_output_defers():
-    res = allocate(-1.0, np.zeros(3), pn.WeightMatrix((1.0, 1.0, 1.0)), 0.001)
+    q = pn.WeightMatrix((1.0, 1.0, 1.0))
+    res = allocate(-1.0, np.zeros(3), q, 0.001)
     assert not res.fired
     assert res.gains == (0.0, 0.0, 0.0)
+    # no deficit (target >= 0, -0.0 included), S = 0, or every S_i^2/q_i underflowing:
+    # each returns the weights' one idle result, its gains builtin +0.0
+    for e_obs, s in ((0.5, 1.0), (0.0, 1.0), (-0.0, 1.0), (0.5, [1.0, 2.0, 3.0]),
+                     (-1.0, 0.0), (-1.0, [0.0, 0.0, 0.0]), (-1.0, 1e-200), (-1.0, [1e-200] * 3)):
+        res = allocate(e_obs, s, q, 0.001)
+        assert res is q.idle and res.fired is False, (e_obs, s)
+        assert all(type(g) is float and math.copysign(1.0, g) == 1.0 and g == 0.0
+                   for g in res.gains)
 
 
 def test_invalid_weights_rejected():

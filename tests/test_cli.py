@@ -202,7 +202,7 @@ def test_run_ended_by_a_fault_prints_its_message(tmp_path, capsys):
     assert pn.read_summary(tmp_path / "out" / "summary.txt")["diverged"] == "true"
 
 
-def test_unwritable_output_is_reported(tmp_path, capsys):
+def test_unwritable_output_is_reported(tmp_path, capsys, monkeypatch):
     cfg = _write(tmp_path, _short_doc(duration=0.05))
     blocker = tmp_path / "blocked"
     blocker.write_text("a file, not a directory")
@@ -229,6 +229,16 @@ def test_unwritable_output_is_reported(tmp_path, capsys):
         assert rc == 2
         assert f"output.{key} must be" in capsys.readouterr().err
         assert not any(out.iterdir())
+    # a summary write that fails after the trace was written: neither file is left
+    def refuse(metrics, path):
+        raise OSError(f"no space left for {path}")
+
+    monkeypatch.setattr("passivenet.cli.write_summary", refuse)
+    out = tmp_path / "failed_summary"
+    rc = main(["--config", str(_write(tmp_path, _short_doc(duration=0.05))), "--out", str(out)])
+    assert rc == 2
+    assert "no space left" in capsys.readouterr().err
+    assert not any(out.iterdir())
 
 
 def test_seed_check_passes(capsys):

@@ -47,11 +47,11 @@ def test_bundled_run_matches_golden_checkpoints(bundled_runs, name):
 
 # sha256 of each bundled run's ``trace.data.tobytes()``, every step's row bit for bit
 TRACE_DIGESTS = {
-    "case1.cfg": "b19ba1f5d4247cecbbc4c58e4de170af3a15487eb3274073ce2ac3a3009187a6",
-    "case2.cfg": "ce6b76131aeb19a62445c378002e9d330560a059ea230d94790d3f90a7cd14a8",
-    "case3.cfg": "390b277728a42a9823bc349ae957e10cf01e632a0017402fbd233c408294c7c1",
+    "case1.cfg": "0880b6e376668186177ed33f4bbe53b1370fdbc8c8a4e6bf4130ebe41b865106",
+    "case2.cfg": "5e72144ede55f843cfc12afab7810ff2815c748d1113fefb455b6d4cfd861593",
+    "case3.cfg": "9f2121e2b5b4dcc87aa039742f5ae7deed1139b0788c68d6db32a05fc48ba1c9",
     "passive_baseline.cfg": "d0c2360c7d31fc79840635d5ca86c22792f0d58d5f06b94f6ee462d3c7d679bb",
-    "table1.cfg": "b5cb661a766e71b9ff741a04b522acd64690806b0b767ec98fad44f9afbb5ce7",
+    "table1.cfg": "7915352113e4ccc9fb2e5e531e2cb5dfe8ab0ef96dfda1129cdac0f78b385b1d",
     "table1_nostab.cfg": "6c6aff716912d004af13f54e0c53be1a7e9c3965b7fd67b4a2bde332f8490d3e",
 }
 
