@@ -87,14 +87,17 @@ def main(argv=None) -> int:
             if path.is_dir():
                 raise ConfigurationError(f"output file {str(path)!r} is a directory")
         staged = [(p, p.parent / f".{p.name}.{os.getpid()}") for p in (trace_path, summary_path)]
+        undo = [tmp for _path, tmp in staged]  # what a failure removes
         try:  # each file under a temporary name beside its target, renamed once both are written
             write_trace(trace, staged[0][1], cfg.decimation)
             write_summary(metrics, staged[1][1])
             for path, tmp in staged:
                 os.replace(tmp, path)
-        finally:  # so a failed write leaves neither file
-            for _path, tmp in staged:
-                tmp.unlink(missing_ok=True)
+                undo.append(path)  # a later rename that fails takes this file back too
+            undo = []
+        finally:  # so a failed write or rename leaves neither file
+            for path in undo:
+                path.unlink(missing_ok=True)
     except (ConfigurationError, SimulationFault, OSError) as exc:
         print(f"passivenet: error: {exc}", file=sys.stderr)
         return 2

@@ -68,14 +68,8 @@ class EnergyLedger:
         return self.observable_energy
 
     def record_injection(self, gains) -> None:
-        """Add this step's dissipation dt*y^2*alpha_i to each D_i and to E_hat.
-
-        With every gain zero the D_i stay as they are and E_hat is
-        E_obs + 0.0, the bits the full update gives (it turns -0.0 into 0.0).
-        """
-        if not any(gains):
-            self.controlled_energy = self.observable_energy + 0.0
-            return
+        """Book a fired step's dissipation dt*y^2*alpha_i in each D_i and in E_hat; an idle
+        step makes no call, as ``ingest_step`` left E_hat = E_obs and the D_i as they are."""
         w = self.dt * self._y * self._y
         injected = [w * a for a in gains]
         self.dissipated = list(map(add, self.dissipated, injected))

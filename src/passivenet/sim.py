@@ -17,7 +17,7 @@ Per-step pipeline (one sample period, no feedthrough anywhere):
    as u_i + 0.0 * y would turn the -0.0 of a nonpassive node at rest into +0.0
 8. the step's one finiteness check, on E_obs and the hub force (inputs are
    validated where they enter, so only overflow in the loop can trip it)
-9. record the injected dissipation in the ledger
+9. record the injected dissipation in the ledger, where a gain fired
 10. book the exact work of the held net force sum(u_hat) in the hold ledger
     and advance the hub with the hub force u_ext - sum(u_hat), one fsum per
     state row over that row of Ad and its entry of bd, paired at build
@@ -290,7 +290,8 @@ class Simulation:
             raise SimulationFault(
                 f"non-finite step at n={n}: E_obs={e_obs!r}, hub force={force!r}"
             )
-        self.ledger.record_injection(gains)
+        if fired:
+            self.ledger.record_injection(gains)
         self.hold_ledger.record(force, net)
         _, pos = self.hub.step(force)
         self.n = n + 1

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -238,6 +239,22 @@ def test_unwritable_output_is_reported(tmp_path, capsys, monkeypatch):
     rc = main(["--config", str(_write(tmp_path, _short_doc(duration=0.05))), "--out", str(out)])
     assert rc == 2
     assert "no space left" in capsys.readouterr().err
+    assert not any(out.iterdir())
+    # the second rename fails after the first put the trace in place: it is taken back
+    monkeypatch.undo()
+    renames = []
+
+    def replace_once(src, dst, real=os.replace):
+        renames.append(dst)
+        if len(renames) == 2:
+            raise OSError(f"cannot rename onto {dst}")
+        real(src, dst)
+
+    monkeypatch.setattr("passivenet.cli.os.replace", replace_once)
+    out = tmp_path / "failed_rename"
+    rc = main(["--config", str(_write(tmp_path, _short_doc(duration=0.05))), "--out", str(out)])
+    assert rc == 2 and len(renames) == 2
+    assert "cannot rename onto" in capsys.readouterr().err
     assert not any(out.iterdir())
 
 

@@ -62,12 +62,14 @@ def _bits(trace, group: str) -> np.ndarray:
 
 
 def test_no_gain_path_passes_u_through(bundled_runs):
-    """On every row whose gains are all +0.0, each û_i has the bytes of u_i.
+    """On every row whose gains are all +0.0, each û_i has the bytes of u_i, E_hat
+    those of E_obs, and each D_i those of the row before.
 
     A step where no gain fires (stabilizer off, no deficit, or a deferral) takes
     û = u; u_i + 0.0 * y would write the -0.0 of a nonpassive node at rest as
-    +0.0, and table1 has such rows.  With the stabilizer off, every alpha and D
-    cell is +0.0.
+    +0.0, and table1 has such rows.  Such a step books nothing in the ledger, which
+    keeps the bits of the full update E_obs + 0.0 only because no E_obs or E_hat
+    cell is -0.0.  With the stabilizer off, every alpha and D cell is +0.0.
     """
     scen = pn.Scenario(kind="dual-sine", duration=0.5, dt=0.001, amplitude=20.0)
     runs = {name: (cfg.topology, trace) for name, (cfg, trace, _m) in bundled_runs.items()}
@@ -78,8 +80,14 @@ def test_no_gain_path_passes_u_through(bundled_runs):
         idle = np.all(alpha == 0, axis=1)  # +0.0 has all bits clear
         assert idle.any(), name
         assert np.array_equal(_bits(trace, "uhat")[idle], u[idle]), name
+        e_obs, e_hat = (np.frombuffer(trace.column(c), dtype=np.uint64) for c in ("E_obs", "E_hat"))
+        assert np.array_equal(e_hat[idle], e_obs[idle]), name
+        d = _bits(trace, "D")
+        before = np.vstack([np.zeros((1, d.shape[1]), dtype=np.uint64), d[:-1]])
+        assert np.array_equal(d[idle], before[idle]), name
+        assert not (e_obs == negative_zero).any() and not (e_hat == negative_zero).any(), name
         if not topo.stabilizer_enabled:
-            assert idle.all() and not _bits(trace, "D").any(), name
+            assert idle.all() and not d.any(), name
         if name == "table1.cfg":
             assert topo.stabilizer_enabled and (u[idle] == negative_zero).any()
 
@@ -341,9 +349,10 @@ def test_step_makes_the_benchmarks_exact_structural_calls(monkeypatch):
     This follows the exact-count table of ``bench/selftest.py`` (2M pushes, M
     node steps, one allocation per step), so a step change that would fail
     the benchmark's self-test fails here first.  Relax it together with that
-    table (ROADMAP item 1).
+    table (ROADMAP item 1).  Beyond that table, the ledger books an injection
+    exactly once per fired step, a row with a nonzero gain, and never on an idle one.
     """
-    calls = {"push": 0, "node": 0, "allocate": 0}
+    calls = {"push": 0, "node": 0, "allocate": 0, "record": 0}
 
     def counted(key, fn):
         def wrapper(*args):
@@ -355,11 +364,14 @@ def test_step_makes_the_benchmarks_exact_structural_calls(monkeypatch):
                         counted("push", pn.DelayLine.push_and_sample))
     monkeypatch.setattr(pn.NodeState, "step", counted("node", pn.NodeState.step))
     monkeypatch.setattr(pn.sim, "allocate", counted("allocate", pn.sim.allocate))
+    monkeypatch.setattr(pn.EnergyLedger, "record_injection",
+                        counted("record", pn.EnergyLedger.record_injection))
     scen = pn.Scenario(kind="dual-sine", duration=0.5, dt=0.001, amplitude=20.0)
-    metrics = pn.build(driven_topology(8), scen).run()[1]
+    trace, metrics = pn.build(driven_topology(8), scen).run()
     steps = metrics.steps
-    assert steps == 500 and metrics.total_injected > 0.0
-    assert calls == {"push": 2 * 8 * steps, "node": 8 * steps, "allocate": steps}
+    fired = sum(any(row) for row in per_node(trace, "alpha"))
+    assert steps == 500 and metrics.total_injected > 0.0 and 0 < fired < steps
+    assert calls == {"push": 2 * 8 * steps, "node": 8 * steps, "allocate": steps, "record": fired}
 
 
 @pytest.mark.parametrize("name", ["table1_nostab.cfg", "table1.cfg"])
