@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .allocator import WeightMatrix
 from .delay import DelayProfile
-from .errors import ConfigurationError, check_decimation
+from .errors import ConfigurationError, check_count
 from .lti import ContinuousTF, ImpedanceTriple
 from .sim import Scenario, Topology
 
@@ -33,7 +33,7 @@ class RunConfig:
     decimation: int = 1
 
     def __post_init__(self):
-        check_decimation(self.decimation, "output.decimation")
+        check_count(self.decimation, "output.decimation")
         if os.path.normpath(self.trace_path) == os.path.normpath(self.summary_path):
             raise ConfigurationError(
                 f"output.trace and output.summary name the same file {self.trace_path!r}")
@@ -151,7 +151,7 @@ _FORMAT = _object({
             None, "a gain cap breaks the equality that keeps the stabilized loop passive"),
     }),
     "output": _object({}, {"trace": ("trace_path", _text), "summary": ("summary_path", _text),
-                           "decimation": check_decimation}),
+                           "decimation": check_count}),
 })
 
 

@@ -62,11 +62,10 @@ class DelayLine:
     __slots__ = ("dt", "capacity", "_buf", "_n")
 
     def __init__(self, max_delay: float, dt: float):
-        if not 0.0 <= max_delay < inf:
-            raise ConfigurationError(
-                f"maximum delay must be nonnegative and finite, got {max_delay!r}"
-            )
         self.dt = check_positive_finite(dt)
+        if not 0.0 <= max_delay / dt < inf:  # NaN fails it too, as does a quotient that overflows
+            raise ConfigurationError(f"maximum delay must be a nonnegative, finite number of "
+                                     f"samples, got {max_delay!r} at dt={dt!r}")
         self.capacity = ceil(max_delay / dt) + 2
         self._buf = [0.0] * self.capacity
         self._n = 0  # index of the next push

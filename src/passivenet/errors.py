@@ -1,4 +1,4 @@
-"""Fault types shared across the package, the one sample-period, credit and decimation
+"""Fault types shared across the package, the one sample-period, credit and count
 checks and the one sum."""
 
 import math
@@ -29,8 +29,8 @@ def check_credit(value: float) -> float:
     return float(value)
 
 
-def check_decimation(value, name: str = "decimation") -> int:
-    """``value`` if it is an int >= 1 (a bool is not): keep every ``value``-th trace row."""
+def check_count(value, name: str) -> int:
+    """``value`` if it is an int >= 1 (a bool is not): a decimation, a number of ports."""
     if not isinstance(value, int) or isinstance(value, bool) or value < 1:
         raise ConfigurationError(f"{name} must be an integer >= 1, got {value!r:.40}")
     return value

@@ -3,12 +3,13 @@
 Two ledgers watch the hub port.
 
 ``EnergyLedger`` is the paper's observer.  It prices each step at the
-sampled hub output, one rectangle per sample: the observable energy is
-E_obs[n] = E_hat[n-1] + dt*(xi*y^2 + u.y) and the controlled energy, once
-the stabilizer's injection is recorded, is E_hat[n] = E_obs[n] + dt*A.S.
+sampled hub output, one rectangle per sample, in one running energy E_hat:
+the step's raw increment dt*(xi*y^2 + u.y) makes it the observable energy
+E_obs[n], and the stabilizer's injection dt*A.S then makes it E_hat[n].
 The net energy is accumulated directly, not formed as the raw
 interconnection energy E plus the injected dissipation D: those are two
-large sums of opposite sign.  The per-port D_i are kept for reporting only.
+large sums of opposite sign.  The per-port D_i are kept for reporting only;
+``summarize`` folds them into D.
 
 ``HoldLedger`` prices the same port exactly.  The hub is a zero-order-hold
 plant: the net network force s it is handed stays applied for the whole
@@ -26,7 +27,7 @@ from __future__ import annotations
 import math
 from operator import add
 
-from .errors import ConfigurationError, check_credit, check_positive_finite, fold
+from .errors import check_count, check_credit, check_positive_finite, fold
 
 # A predicted next sample within this fraction of the held-force speed of
 # zero counts as landing on the held force's side: it leaves the rounding of
@@ -40,19 +41,11 @@ class EnergyLedger:
     """
 
     def __init__(self, dt: float, xi: float, num_ports: int):
-        if num_ports < 1:
-            raise ConfigurationError("ledger needs at least one port")
         self.dt = check_positive_finite(dt)
         self.xi = check_credit(xi)
-        self.dissipated = [0.0] * num_ports  # D_i, reporting only
-        self.observable_energy = 0.0  # E_obs at the last ingest
+        self.dissipated = [0.0] * check_count(num_ports, "number of ports")  # D_i, reporting only
         self.controlled_energy = 0.0  # E_hat
         self._y = 0.0
-
-    @property
-    def injected_energy(self) -> float:
-        """D, the sum of the per-port dissipations D_i."""
-        return fold(self.dissipated)
 
     def ingest_step(self, y: float, raw: float) -> float:
         """Accumulate one step of raw energy and return the observable energy.
@@ -61,11 +54,9 @@ class EnergyLedger:
         feedback.  The hub credit xi*y^2 enters once, not per port; injections
         recorded so far (through step n-1) are included via E_hat[n-1].
         """
-        increment = self.dt * y * (self.xi * y + raw)
         self._y = y
-        self.observable_energy = self.controlled_energy + increment
-        self.controlled_energy = self.observable_energy
-        return self.observable_energy
+        self.controlled_energy += self.dt * y * (self.xi * y + raw)
+        return self.controlled_energy
 
     def record_injection(self, gains) -> None:
         """Book a fired step's dissipation dt*y^2*alpha_i in each D_i and in E_hat; an idle
@@ -73,7 +64,7 @@ class EnergyLedger:
         w = self.dt * self._y * self._y
         injected = [w * a for a in gains]
         self.dissipated = list(map(add, self.dissipated, injected))
-        self.controlled_energy = self.observable_energy + fold(injected)
+        self.controlled_energy += fold(injected)
 
 
 class HoldLedger:

@@ -6,7 +6,7 @@ repeated runs of a deterministic scenario produce byte-identical files.
 
 from __future__ import annotations
 
-from .errors import ConfigurationError, check_decimation
+from .errors import ConfigurationError, check_count
 from .sim import SummaryMetrics, Trace
 
 # Trace values formatted per write: the writer's memory is bounded by this,
@@ -30,7 +30,7 @@ def write_trace(trace: Trace, path, decimation: int = 1) -> None:
     """
     if not len(trace):
         raise ConfigurationError("refusing to write an empty trace")
-    check_decimation(decimation)
+    check_count(decimation, "decimation")
     w, data = trace.width, trace.data
     rows = range(0, len(trace), decimation)
     per_chunk = max(1, CHUNK_VALUES // w)

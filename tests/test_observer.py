@@ -54,7 +54,14 @@ def test_injections_accumulate():
     for _ in range(2):
         ledger.ingest_step(1.0, fold([0.0]))
         ledger.record_injection([1.0])
-    assert ledger.injected_energy == pytest.approx(0.02, rel=1e-12)
+    assert fold(ledger.dissipated) == pytest.approx(0.02, rel=1e-12)
+
+    # two injections after one ingest: E_hat and the D_i both book each of them
+    ledger = pn.EnergyLedger(0.01, 0.0, 1)
+    e_obs = ledger.ingest_step(1.0, fold([0.0]))
+    ledger.record_injection([1.0])
+    ledger.record_injection([2.0])
+    assert ledger.controlled_energy - e_obs == fold(ledger.dissipated) == pytest.approx(0.03)
 
 
 def test_observable_energy_excludes_current_injection():
@@ -63,7 +70,7 @@ def test_observable_energy_excludes_current_injection():
     ledger = pn.EnergyLedger(dt, 0.0, 1)
     ledger.ingest_step(y, fold(u))
     ledger.record_injection([1.0])
-    d_after_first = ledger.injected_energy
+    d_after_first = fold(ledger.dissipated)
     e_obs = ledger.ingest_step(y, fold(u))
     # E_obs carries injections through the previous step only
     assert e_obs == pytest.approx(2.0 * raw_increment + d_after_first, rel=1e-12)
@@ -90,7 +97,7 @@ def test_net_ledger_survives_large_opposing_energies():
         increments.extend(((dt * y * y) * gains).tolist())
         if n % 1000 == 0:
             assert abs(ledger.controlled_energy - math.fsum(increments)) <= 1e-9
-    assert math.fsum(raw_increments) < -1e8 and ledger.injected_energy > 1e8
+    assert math.fsum(raw_increments) < -1e8 and fold(ledger.dissipated) > 1e8
 
 
 def test_hold_ledger_books_exact_work():
@@ -242,7 +249,6 @@ class _DropOneInjection(pn.EnergyLedger):
     def record_injection(self, gains) -> None:
         if not self.dropped and self.dt * self._y * self._y * fold(gains) >= 1e-6:
             self.dropped = True
-            self.controlled_energy = self.observable_energy
             return
         super().record_injection(gains)
 

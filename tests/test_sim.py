@@ -140,7 +140,7 @@ def test_dissipated_is_nondecreasing_and_sums_to_ledger():
     for dissipated in per_node(trace, "D"):
         assert all(d >= p for d, p in zip(dissipated, prev))
         prev = dissipated
-    assert sum(prev) == pytest.approx(sim.ledger.injected_energy, rel=1e-12, abs=1e-300)
+    assert np.array_equal(_bits(trace, "D")[-1], np.array(sim.ledger.dissipated).view(np.uint64))
 
 
 def test_fold_is_plain_left_to_right():
@@ -273,11 +273,13 @@ def test_ledger_credit_and_line_length_must_be_finite():
             HoldLedger(xi, hub)
         with pytest.raises(pn.ConfigurationError, match="passivity index"):
             table1_topology(xi=xi)
-    with pytest.raises(pn.ConfigurationError, match="at least one port"):
-        pn.EnergyLedger(0.001, 1.0, 0)
-    for max_delay in (math.inf, math.nan, -0.1):
+    for num_ports in (0, 2.5, True):
+        with pytest.raises(pn.ConfigurationError, match="must be an integer >= 1"):
+            pn.EnergyLedger(0.001, 1.0, num_ports)
+    for max_delay, dt in ((math.inf, 0.001), (math.nan, 0.001), (-0.1, 0.001),
+                          (1.0, 5e-324), (1e300, 1e-300)):  # the last two overflow max_delay/dt
         with pytest.raises(pn.ConfigurationError, match="maximum delay"):
-            pn.DelayLine(max_delay, 0.001)
+            pn.DelayLine(max_delay, dt)
 
 
 def test_delay_longer_than_the_run_reads_only_cold_start_zeros():
